@@ -2,7 +2,9 @@
 
 count_sets is the fast pair-completion counter used everywhere;
 count_sets_bruteforce enumerates all card triples and exists purely as a
-cross-check oracle.  Boards are immutable once constructed.
+cross-check oracle.  add_to_gain keeps the incremental gain array that the
+search and the greedy trace score candidates with.  Boards are immutable
+once constructed.
 """
 
 from __future__ import annotations
@@ -188,6 +190,25 @@ def count_sets_bruteforce(board: Board) -> int:
     """Slow oracle: test all C(n,3) card triples against the line condition."""
     d = board.dim
     return sum(1 for a, b, c in combinations(board.cards, 3) if geometry.is_line(a, b, c, d))
+
+
+def add_to_gain(gain: list[int], chosen: list[int], card: int, dim: int, rows) -> None:
+    """Append `card` to `chosen`, keeping the gain array in step.
+
+    gain[x] is the number of pairs of chosen cards whose third card is x,
+    so a card x outside `chosen` would add exactly gain[x] sets.  Adding a
+    card costs one third-card lookup per chosen card: `rows` is
+    third_rows(dim), or None above TABLE_MAX_DIM, where only the needed
+    thirds are computed digit-wise.
+    """
+    if rows is not None:
+        row = rows[card]
+        for b in chosen:
+            gain[row[b]] += 1
+    else:
+        for b in chosen:
+            gain[geometry.third_value(card, b, dim)] += 1
+    chosen.append(card)
 
 
 def delta_sets(board: Board, candidate: int) -> int:

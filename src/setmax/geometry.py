@@ -141,12 +141,6 @@ def is_line(a: int, b: int, c: int, d: int) -> bool:
     return True
 
 
-def line_through(a: int, b: int, d: int) -> tuple[int, int, int]:
-    """The canonical (sorted) line containing the two distinct cards."""
-    t = third_card(a, b, d)
-    return tuple(sorted((a, b, t)))
-
-
 def all_lines(d: int) -> list[tuple[int, int, int]]:
     """Every line of the d-dimensional space exactly once, as sorted triples.
 

@@ -7,6 +7,9 @@ the previous pick, then the lowest card id, so runs are reproducible.  On
 turns 4, 7, ..., 3d-2 it instead takes the first card of a cube that has
 not been touched yet (falling back to the greedy rule when none is left).
 
+Every turn reads one gain array (see counting.add_to_gain) instead of
+rescoring each free card, so a whole trace costs O(deck**2).
+
 The resulting cumulative counts are a quick lower bound for the exact
 search: usually tight, but not always (18 cards with 3 properties reach
 35 here against a true maximum of 36).
@@ -18,7 +21,7 @@ import csv
 from dataclasses import dataclass
 
 from . import geometry
-from .counting import Board, delta_sets
+from .counting import Board, add_to_gain, delta_sets
 
 TRACE_CSV_HEADER = ("turn", "card", "new_sets", "cumulative")
 
@@ -66,34 +69,23 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
     if not 1 <= upto <= deck:
         raise ValueError(f"turn limit must be in [1, {deck}], got {upto}")
 
-    if dim <= geometry.TABLE_MAX_DIM:
-        rows = geometry.third_rows(dim)
-    else:
-        rows = None
+    rows = geometry.third_rows(dim) if dim <= geometry.TABLE_MAX_DIM else None
 
-    member = bytearray(deck)
+    # gain[c] is the number of new sets card c would add.  Taken cards are
+    # parked at -deck: at most (deck - 1) / 2 pairs complete to any one
+    # card, so a parked entry stays below every untaken one and max(gain)
+    # is always an untaken card.
+    gain = [0] * deck
     selected: list[int] = []
     cumulative = 0
     turns: list[CmmTurn] = []
 
-    def gain(c: int) -> int:
-        if rows is not None:
-            row = rows[c]
-            t = 0
-            for b in selected:
-                t += member[row[b]]
-        else:
-            t = 0
-            for b in selected:
-                t += member[geometry.third_value(c, b, dim)]
-        return t >> 1
-
     def take(turn: int, c: int) -> None:
         nonlocal cumulative
-        new = gain(c)
+        new = gain[c]
         cumulative += new
-        member[c] = 1
-        selected.append(c)
+        add_to_gain(gain, selected, c, dim, rows)
+        gain[c] = -deck
         turns.append(CmmTurn(turn, c, new, cumulative))
 
     ncubes = geometry.cube_count(dim)
@@ -115,15 +107,15 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
                     card = 9 * cube
                     break
         if card is None:
+            # Largest gain, then outside the last pick's cube, then lowest
+            # id.  Every card before the first maximizer gains less, so a
+            # maximizer outside the last cube, if the first one is inside
+            # it, lies after that cube.
+            top = max(gain)
+            card = gain.index(top)
             last_cube = selected[-1] // 9
-            best_key = None
-            for c in range(deck):
-                if member[c]:
-                    continue
-                key = (gain(c), c // 9 != last_cube, -c)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    card = c
+            if card // 9 == last_cube and top in gain[9 * last_cube + 9 :]:
+                card = gain.index(top, 9 * last_cube + 9)
         take(turn, card)
 
     return CmmTrace(dim, turns)

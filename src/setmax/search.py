@@ -3,21 +3,34 @@
 Two engines answer the same question.  The naive engine enumerates every
 n-card board and refuses instances beyond a triple-check budget; it is the
 reference.  The pruned engine walks the same lexicographic subset tree
-depth-first, keeps the running set count incrementally, and discards a
-branch when even an optimistic completion cannot beat the best board seen.
-With symmetry on it also fixes the first two cards to 0 and 1: the affine
-group moves any ordered pair of distinct cards onto any other while
-preserving set counts, so some maximizer contains that pair.
+depth-first and discards a branch when even an optimistic completion
+cannot beat the best board seen.  With symmetry on it also fixes the first
+two cards to 0 and 1: the affine group moves any ordered pair of distinct
+cards onto any other while preserving set counts, so some maximizer
+contains that pair.
+
+Both engines share one depth-first walk, which scores candidates through a
+gain array: gain[x] is the number of pairs of chosen cards whose third
+card is x.  A card x outside the chosen board adds exactly gain[x] sets,
+because each new set is x plus one chosen pair completing to x.  The walk
+chooses cards in increasing order, so every candidate lies outside the
+board and scores cnt + gain[c] in O(1).  Choosing a card adds one entry
+per chosen card (its pairs with the new card); the walk snapshots the
+array before that and restores the snapshot when it backtracks.  The same
+array drives the greedy trace in `heuristics`.
 
 Pruning is strict (a branch is cut only when it cannot *reach* the current
 best), which means every board achieving the final maximum is visited no
-matter how the shared best value evolves.  That makes results, witness
-included, independent of worker scheduling.
+matter how the shared best value evolves.  That makes the maximum and the
+witness independent of worker scheduling; the node and prune counters of a
+parallel run are not, because each unit prunes against the best value
+known when it starts.
 
 The frontier of the depth-first walk is a stack of cards plus the next
-candidate at the current level; checkpoints serialize exactly that, so a
-resumed run continues the identical traversal.  Parallel runs split the
-tree at its top level into work units and checkpoint at unit boundaries.
+candidate at the current level; checkpoints serialize exactly that, and a
+resumed run rebuilds the gain array from it, so it continues the identical
+traversal.  Parallel runs split the tree at its top level into work units
+and checkpoint at unit boundaries.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import geometry
-from .counting import Board
+from .counting import Board, add_to_gain
 
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
@@ -133,19 +146,6 @@ def _base_and_lo(n: int, mode: str, symmetry: bool) -> tuple[list[int], int]:
     return [], 0
 
 
-def _count_cards(dim: int, cards) -> int:
-    cards = sorted(cards)
-    if len(cards) < 3:
-        return 0
-    present = set(cards)
-    tally = 0
-    for i, a in enumerate(cards):
-        for b in cards[i + 1 :]:
-            if geometry.third_value(a, b, dim) in present:
-                tally += 1
-    return tally // 3
-
-
 def _dfs_segment(
     dim: int,
     n: int,
@@ -165,6 +165,35 @@ def _dfs_segment(
     boards of n cards are reached.  `seed_best` only tightens pruning;
     best/witness in the state reflect boards actually visited here, which
     is what keeps merged parallel results deterministic.
+
+    Every candidate c is larger than every chosen card, so it scores
+    cnt + gain[c] (see the module docstring).  Each step of the walk takes
+    the candidates of one level from c on as a block, and leaves best,
+    witness, nodes and pruned exactly as the one-by-one walk would:
+
+    - At the leaf level every candidate completes a board of n cards and
+      counts one node; none is pruned or pushed.  The one-by-one walk
+      replaces (best, witness) only on a strict improvement, so its last
+      replacement is at the first candidate reaching the block maximum,
+      and it happens iff cnt + max > best.  The step scores the whole
+      level with one max and finds that candidate with gain.index.
+    - At any other level the step counts the run of pruned candidates
+      starting at c, then pushes the first candidate that survives.
+      best_eff changes only when a leaf improves best, and a pruned
+      candidate visits no leaf, so best_eff is constant over the run, as
+      are cnt and the bound of the level.  Candidate x is therefore pruned
+      iff gain[x] < best_eff - bound - cnt, one threshold for the whole
+      run, and the one-by-one walk would count each pruned candidate as
+      one node and one prune.  When cnt + max(gain[c:limit]) + bound <
+      best_eff, the run lasts to the end of the level.
+
+    The stop and report triggers are checked between steps, once the node
+    counter has grown by _PROGRESS_EVERY since the last check.  One step
+    adds at most the candidates of one level, so a stop overshoots
+    stop_after_nodes by less than one level's candidates beyond that
+    check.  The saved frontier is always a step boundary, which is all a
+    resumed run needs; a frontier inside a level, as the one-by-one walk
+    saved it, resumes just as well.
     """
     deck = 3 ** dim
     need = n - len(base)
@@ -176,57 +205,54 @@ def _dfs_segment(
     nodes = state["nodes"]
     pruned = state["pruned"]
 
+    # Above TABLE_MAX_DIM the full pair table would not fit in memory;
+    # add_to_gain then computes only the thirds it needs.
+    rows = geometry.third_rows(dim) if dim <= geometry.TABLE_MAX_DIM else None
+
+    gain = [0] * deck
+    chosen = []
+    cnt = 0
+    for x in base:
+        cnt += gain[x]
+        add_to_gain(gain, chosen, x, dim, rows)
+
     if need == 0:
         # Degenerate unit: the base itself is the only board in the subtree.
         if nodes == 0:
             nodes = 1
-            best = _count_cards(dim, base)
+            best = cnt
             witness = list(base)
         state.update(best=best, witness=witness, nodes=nodes, pruned=pruned)
         return True
 
-    # Above TABLE_MAX_DIM the full pair table would not fit in memory;
-    # fall back to computing thirds digit-wise inside the scan.
-    rows = geometry.third_rows(dim) if dim <= geometry.TABLE_MAX_DIM else None
-    third = geometry.third_value
-
-    member = bytearray(deck)
-    chosen = list(base)
-    for x in base:
-        member[x] = 1
-
-    # Rebuild the incremental counts along the saved frontier.
-    base_cnt = _count_cards(dim, base)
-    cnt = base_cnt
+    # Rebuild the gain array along the saved frontier; a pop restores the
+    # snapshot taken by its push.
+    gain_stack = []
     cnt_stack = []
-    stack = list(state["stack"])
-    for s in stack:
-        t = 0
-        if rows is not None:
-            row = rows[s]
-            for b in chosen:
-                t += member[row[b]]
-        else:
-            for b in chosen:
-                t += member[third(s, b, dim)]
-        cnt += t >> 1
-        member[s] = 1
-        chosen.append(s)
+    for s in state["stack"]:
+        gain_stack.append(gain)
         cnt_stack.append(cnt)
+        cnt += gain[s]
+        gain = gain.copy()
+        add_to_gain(gain, chosen, s, dim, rows)
 
     c = state["next_card"]
     best_eff = best if best > seed_best else seed_best
 
-    # bound[s] = most sets any completion of an s-card board can still add.
-    bound = [bound_remaining(s, n) for s in range(n + 1)]
-
+    # Indexed by the size of the chosen board: the end of the candidate
+    # range (leaving room for the cards still to come), and the most sets
+    # any completion can still add once a candidate has joined.
     base_len = len(base)
+    leaf = n - 1
+    limit_at = [deck - (leaf - size) for size in range(n)]
+    slack_at = [bound_remaining(size + 1, n) for size in range(n)]
+
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
     next_report = time.monotonic() + report_interval if report_interval else None
 
     def _sync():
         state.update(
-            stack=list(stack), next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
+            stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
         )
 
     try:
@@ -246,46 +272,47 @@ def _dfs_segment(
                         on_checkpoint(state)
                     next_report = time.monotonic() + report_interval
 
-            limit = deck - (need - len(stack) - 1)
+            size = len(chosen)
+            limit = limit_at[size]
+            if size == leaf:
+                if c < limit:
+                    top = max(gain[c:limit])
+                    if cnt + top > best:
+                        best = cnt + top
+                        witness = chosen + [gain.index(top, c)]
+                        if best > best_eff:
+                            best_eff = best
+                    nodes += limit - c
+                    c = limit
+            elif prune and c < limit:
+                # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
+                floor = best_eff - slack_at[size] - cnt
+                if gain[c] < floor:
+                    start = c
+                    if max(gain[c:limit]) < floor:
+                        c = limit
+                    else:
+                        c += 1
+                        while gain[c] < floor:
+                            c += 1
+                    nodes += c - start
+                    pruned += c - start
+
             if c >= limit:
-                if not stack:
+                if size == base_len:
                     break
-                p = stack.pop()
-                cnt_stack.pop()
-                cnt = cnt_stack[-1] if cnt_stack else base_cnt
-                member[p] = 0
-                chosen.pop()
-                c = p + 1
+                gain = gain_stack.pop()
+                cnt = cnt_stack.pop()
+                c = chosen.pop() + 1
                 continue
 
-            t = 0
-            if rows is not None:
-                row = rows[c]
-                for b in chosen:
-                    t += member[row[b]]
-            else:
-                for b in chosen:
-                    t += member[third(c, b, dim)]
-            ncnt = cnt + (t >> 1)
             nodes += 1
-
-            if base_len + len(stack) + 1 == n:
-                if ncnt > best:
-                    best = ncnt
-                    witness = chosen + [c]
-                    if best > best_eff:
-                        best_eff = best
-                c += 1
-            elif prune and ncnt + bound[base_len + len(stack) + 1] < best_eff:
-                pruned += 1
-                c += 1
-            else:
-                stack.append(c)
-                chosen.append(c)
-                member[c] = 1
-                cnt_stack.append(ncnt)
-                cnt = ncnt
-                c += 1
+            gain_stack.append(gain)
+            cnt_stack.append(cnt)
+            cnt += gain[c]
+            gain = gain.copy()
+            add_to_gain(gain, chosen, c, dim, rows)
+            c += 1
     except KeyboardInterrupt:
         _sync()
         if on_checkpoint is not None:
@@ -525,6 +552,57 @@ def run_search(config: SearchConfig) -> SearchResult:
     return max_sets_pruned(config)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_witness(config: SearchConfig, witness) -> None:
+    deck = 3 ** config.dim
+    if witness is None:
+        return
+    if (
+        not isinstance(witness, list)
+        or len(witness) != config.n
+        or not all(_is_int(x) and 0 <= x < deck for x in witness)
+        or len(set(witness)) != config.n
+    ):
+        raise CheckpointError(
+            f"checkpoint witness {witness!r} is not {config.n} distinct cards in [0, {deck})"
+        )
+
+
+def _check_frontier(config: SearchConfig, base: list[int], lo: int, state: dict) -> None:
+    """Reject a saved depth-first frontier that the walk could not have left.
+
+    The resumed walk rebuilds its gain array from the stack without
+    recounting, so a frontier it would misread must fail here rather than
+    resume silently into a wrong answer.
+    """
+    deck = 3 ** config.dim
+    need = config.n - len(base)
+    stack = state["stack"]
+    if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
+        raise CheckpointError(f"checkpoint stack {stack!r} is not a list of card ids")
+    if len(stack) >= need:
+        raise CheckpointError(
+            f"checkpoint stack holds {len(stack)} cards; a board of {config.n} "
+            f"over a base of {len(base)} allows at most {need - 1}"
+        )
+    if any(not lo <= x < deck for x in stack):
+        raise CheckpointError(f"checkpoint stack {stack!r} leaves the range [{lo}, {deck})")
+    if any(a >= b for a, b in zip(stack, stack[1:])):
+        raise CheckpointError(f"checkpoint stack {stack!r} is not strictly increasing")
+    first = stack[-1] + 1 if stack else lo
+    limit = deck - (need - len(stack) - 1)
+    c = state["next_card"]
+    if not _is_int(c) or not first <= c <= limit:
+        raise CheckpointError(f"checkpoint next_card {c!r} is outside [{first}, {limit}]")
+    for key in ("best", "nodes", "pruned"):
+        if not _is_int(state[key]):
+            raise CheckpointError(f"checkpoint {key} {state[key]!r} is not an integer")
+    _check_witness(config, state["witness"])
+
+
 def resume_search(
     checkpoint_path,
     *,
@@ -535,7 +613,9 @@ def resume_search(
     """Continue a checkpointed pruned search to completion (or the next stop).
 
     A run resumed any number of times ends with the same result as an
-    uninterrupted one, elapsed time aside.
+    uninterrupted one, elapsed time aside.  Raises CheckpointError for a
+    file that is unreadable, from another version, or holds a frontier or
+    witness the walk could not have saved.
     """
     cp = checkpoint_load(checkpoint_path)
     config = SearchConfig(
@@ -549,17 +629,15 @@ def resume_search(
         stop_after_nodes=stop_after_nodes,
     )
     if cp.kind == "finished":
+        _check_witness(config, cp.state.get("witness"))
         return _result_from_state(config, cp.state, 0.0, True)
     base, lo = _base_and_lo(config.n, config.mode, config.symmetry)
     if cp.kind == "stack":
-        state = {
-            "stack": list(cp.state["stack"]),
-            "next_card": cp.state["next_card"],
-            "best": cp.state["best"],
-            "witness": cp.state["witness"],
-            "nodes": cp.state["nodes"],
-            "pruned": cp.state["pruned"],
-        }
+        try:
+            state = {k: cp.state[k] for k in ("stack", "next_card", "best", "witness", "nodes", "pruned")}
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint {checkpoint_path} is missing field {exc}") from exc
+        _check_frontier(config, base, lo, state)
         return _run_sequential(config, base, state, prune=config.mode == "pruned")
     if cp.kind == "units":
         return _run_parallel(config, base, lo, prune=config.mode == "pruned", done=cp.state["done"])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from setmax.counting import Board, DuplicateCardError, count_sets
-from setmax.geometry import cube_of
+from setmax.geometry import cube_count, cube_of, third_rows, third_value
 from setmax.heuristics import cmm_run, count_new_sets
 
 # max_sets(3, n) for n = 3..27, from the pruned exhaustive search
@@ -40,6 +40,57 @@ class TestTraceShape:
             cmm_run(3, upto=0)
         with pytest.raises(ValueError):
             cmm_run(3, upto=28)
+
+
+def reference_cmm(dim):
+    """The O(deck**3) greedy loop the gain array replaced: every turn
+    rescores every free card by a loop over the selected cards.  Returns
+    the trace as (card, new_sets, cumulative) per turn."""
+    deck = 3 ** dim
+    rows = third_rows(dim)
+    member = bytearray(deck)
+    selected = []
+    out = []
+
+    def gain(c):
+        return sum(member[rows[c][b]] for b in selected) >> 1
+
+    def take(c):
+        new = gain(c)
+        member[c] = 1
+        selected.append(c)
+        out.append((c, new, (out[-1][2] if out else 0) + new))
+
+    ncubes = cube_count(dim)
+    second = 9 if ncubes >= 2 else 1
+    for c in (0, second, third_value(0, second, dim)):
+        take(c)
+    special_turns = {3 * t + 1 for t in range(1, dim)}
+    for turn in range(4, deck + 1):
+        card = None
+        if turn in special_turns:
+            used = {c // 9 for c in selected}
+            card = next((9 * cube for cube in range(ncubes) if cube not in used), None)
+        if card is None:
+            last_cube = selected[-1] // 9
+            free = [c for c in range(deck) if not member[c]]
+            card = max(free, key=lambda c: (gain(c), c // 9 != last_cube, -c))
+        take(card)
+    return out
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_trace_matches_reference_turn_by_turn(self, dim):
+        got = [(t.card, t.new_sets, t.cumulative) for t in cmm_run(dim).turns]
+        assert got == reference_cmm(dim)
+
+    def test_d7_prefixes_recount(self):
+        # d=7 is above the pair table's limit; thirds are computed digit-wise.
+        trace = cmm_run(7, upto=60)
+        assert len(trace.turns) == 60
+        for i, t in enumerate(trace.turns, start=1):
+            assert count_sets(Board(7, (x.card for x in trace.turns[:i]))) == t.cumulative
 
 
 class TestTraceValues:

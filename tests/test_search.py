@@ -1,15 +1,20 @@
 import io
 import json
+import time
 
 import pytest
 
-from setmax.counting import count_sets, count_sets_bruteforce
+from setmax import cli
+from setmax.counting import Board, count_sets, count_sets_bruteforce, delta_sets
+from setmax.geometry import third_rows
 from setmax.search import (
     BudgetExceededError,
+    Checkpoint,
     CheckpointError,
     SearchConfig,
     bound_remaining,
     checkpoint_load,
+    checkpoint_save,
     max_sets_naive,
     max_sets_pruned,
     resume_search,
@@ -24,6 +29,70 @@ def naive(d, n, **kw):
 
 def pruned(d, n, **kw):
     return max_sets_pruned(SearchConfig(dim=d, n=n, **kw))
+
+
+def outcome(r):
+    return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
+
+
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None):
+    """The per-candidate depth-first walk the gain-array engine replaced.
+
+    Scores every candidate by a loop over the chosen cards and visits the
+    candidates of each level one by one.  Runs to the end, or until
+    `stop_at` nodes are counted, and returns the state the engine saves:
+    the frontier (stack, next_card) and best, witness, nodes, pruned.
+    """
+    deck = 3 ** dim
+    base = [0, 1] if prune and symmetry else []
+    need = n - len(base)
+    rows = third_rows(dim)
+    bound = [bound_remaining(s, n) for s in range(n + 1)]
+
+    def new_sets(card, chosen, member):
+        return sum(member[rows[card][b]] for b in chosen) >> 1
+
+    member = bytearray(deck)
+    chosen = []
+    cnt = 0
+    for x in base:
+        cnt += new_sets(x, chosen, member)
+        member[x] = 1
+        chosen.append(x)
+    best, witness, nodes, pruned = -1, None, 0, 0
+    stack, cnt_stack = [], []
+    c = len(base)
+    while nodes != stop_at:
+        limit = deck - (need - len(stack) - 1)
+        if c >= limit:
+            if not stack:
+                break
+            p = stack.pop()
+            cnt = cnt_stack.pop()
+            member[p] = 0
+            chosen.pop()
+            c = p + 1
+            continue
+        ncnt = cnt + new_sets(c, chosen, member)
+        nodes += 1
+        if len(chosen) + 1 == n:
+            if ncnt > best:
+                best, witness = ncnt, chosen + [c]
+        elif prune and ncnt + bound[len(chosen) + 1] < best:
+            pruned += 1
+        else:
+            stack.append(c)
+            cnt_stack.append(cnt)
+            member[c] = 1
+            chosen.append(c)
+            cnt = ncnt
+        c += 1
+    return {"stack": stack, "next_card": c, "best": best, "witness": witness, "nodes": nodes, "pruned": pruned}
+
+
+def reference_outcome(dim, n, **kw):
+    st = reference_walk(dim, n, **kw)
+    return (st["best"], st["witness"], st["nodes"], st["pruned"])
 
 
 class TestBoundRemaining:
@@ -109,6 +178,84 @@ class TestPruned:
             assert free.witness == exact.witness
 
 
+REFERENCE_ROWS = (
+    [(2, n) for n in range(3, 10)]
+    + [(3, n) for n in list(range(3, 13)) + list(range(21, 28))]
+    + [(4, n) for n in range(3, 8)]
+)
+
+
+class TestReferenceWalk:
+    """The block-scoring engine visits, counts and witnesses exactly as the
+    one-by-one walk does."""
+
+    @pytest.mark.parametrize("dim,n", REFERENCE_ROWS)
+    def test_pruned_row_matches_reference(self, dim, n):
+        assert outcome(pruned(dim, n)) == reference_outcome(dim, n)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_pruned_without_symmetry_matches_reference(self, n):
+        assert outcome(pruned(3, n, symmetry=False)) == reference_outcome(3, n, symmetry=False)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_naive_matches_reference(self, n):
+        assert outcome(naive(3, n)) == reference_outcome(3, n, symmetry=False, prune=False)
+
+    def test_d7_takes_only_the_thirds_it_needs(self):
+        # d=7 is above TABLE_MAX_DIM: a push computes its few thirds
+        # digit-wise instead of building a full row of the pair table.
+        t0 = time.monotonic()
+        r = pruned(7, 4)
+        elapsed = time.monotonic() - t0
+        assert (r.max_sets, r.complete) == (1, True)
+        assert count_sets(r.witness) == 1
+        assert elapsed < 2.0
+
+
+def _frontier_kind(dim, n, st):
+    """Where a frontier lies: inside a leaf level, inside a run of pruned
+    candidates that lasts to the end of its level, or elsewhere."""
+    stack, c = st["stack"], st["next_card"]
+    need = n - 2
+    first = stack[-1] + 1 if stack else 2
+    limit = 3 ** dim - (need - len(stack) - 1)
+    if not first < c < limit:
+        return "edge"
+    if len(stack) == need - 1:
+        return "leaf"
+    board = Board(dim, [0, 1] + stack)
+    cnt = count_sets(board)
+    slack = bound_remaining(len(board) + 1, n)
+    if all(cnt + delta_sets(board, x) + slack < st["best"] for x in range(c - 1, limit)):
+        return "prune run"
+    return "other"
+
+
+class TestResumeInsideBlocks:
+    @pytest.mark.parametrize("stop,kind", [(100_000, "leaf"), (500_001, "prune run")])
+    def test_resume_from_reference_frontier(self, tmp_path, stop, kind):
+        # A frontier the one-by-one walk saves mid-block, as an older
+        # checkpoint would hold it, resumes to the uninterrupted result.
+        st = reference_walk(4, 7, stop_at=stop)
+        assert _frontier_kind(4, 7, st) == kind
+        path = tmp_path / "mid.ckpt"
+        checkpoint_save(Checkpoint(4, 7, "pruned", True, "stack", st), path)
+        assert outcome(resume_search(path)) == outcome(pruned(4, 7))
+
+    def test_stop_and_resume_chain(self, tmp_path):
+        ref = pruned(4, 7)
+        deck = 81
+        for stop in (100_000, 500_001, 1_234_567):
+            path = tmp_path / f"stop{stop}.ckpt"
+            r = pruned(4, 7, checkpoint_path=str(path), stop_after_nodes=stop)
+            assert not r.complete
+            # One step scores at most one level's candidates past the check.
+            assert stop <= r.nodes_visited < stop + 4096 + deck
+            while not r.complete:
+                r = resume_search(path, stop_after_nodes=r.nodes_visited + 150_000)
+            assert outcome(r) == outcome(ref)
+
+
 class TestParallel:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_same_result_as_sequential(self, threads):
@@ -184,6 +331,46 @@ class TestCheckpoint:
         path.write_text('{"hello": 1}')
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+
+def _edited_checkpoint(tmp_path, edit):
+    """A d=3 n=10 stack checkpoint with `edit` applied to its saved state."""
+    path = tmp_path / "edited.ckpt"
+    r = pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000)
+    assert not r.complete
+    payload = json.loads(path.read_text())
+    assert payload["kind"] == "stack" and len(payload["state"]["stack"]) >= 2
+    edit(payload["state"])
+    path.write_text(json.dumps(payload))
+    return path
+
+
+BAD_FRONTIERS = {
+    "stack repeats a card": lambda st: st.update(stack=[st["stack"][0]] * 2),
+    "stack decreases": lambda st: st.update(stack=st["stack"][::-1]),
+    "stack below lo": lambda st: st.update(stack=[1] + st["stack"][1:]),
+    "stack beyond deck": lambda st: st.update(stack=[2, 27]),
+    "stack fills the board": lambda st: st.update(stack=list(range(2, 10)), next_card=10),
+    "next_card beyond level": lambda st: st.update(next_card=27),
+    "next_card not above stack": lambda st: st.update(next_card=st["stack"][-1]),
+    "witness too short": lambda st: st.update(witness=[0, 1, 2]),
+    "witness repeats a card": lambda st: st.update(witness=[0] * 10),
+    "witness beyond deck": lambda st: st.update(witness=list(range(18, 28))),
+}
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("case", list(BAD_FRONTIERS))
+    def test_rejected_on_resume(self, tmp_path, case):
+        path = _edited_checkpoint(tmp_path, BAD_FRONTIERS[case])
+        with pytest.raises(CheckpointError):
+            resume_search(path)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = _edited_checkpoint(tmp_path, BAD_FRONTIERS["stack decreases"])
+        code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+        assert "strictly increasing" in capsys.readouterr().err
 
 
 class TestRunTable:
