@@ -24,7 +24,7 @@ from .geometry import (
     span_flat,
     third_card,
 )
-from .heuristics import CmmTrace, CmmTurn, cmm_run, count_new_sets
+from .heuristics import CmmTrace, CmmTurn, cmm_run
 from .catalog import Fixture, fixture, fixtures, verify_all
 from .search import (
     BudgetExceededError,

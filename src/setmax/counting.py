@@ -1,10 +1,10 @@
 """Boards of distinct cards and the engines that count the sets they contain.
 
-count_sets is the fast pair-completion counter used everywhere;
-count_sets_bruteforce enumerates all card triples and exists purely as a
-cross-check oracle.  add_to_gain keeps the incremental gain array that the
-search and the greedy trace score candidates with.  Boards are immutable
-once constructed.
+add_to_gain is the one pair-completion primitive: it keeps the gain array
+that count_sets, the search and the greedy trace all read.  count_sets
+adds a board's cards one at a time and counts each set once, at its last
+card; count_sets_bruteforce enumerates all card triples and exists purely
+as a cross-check oracle.  Boards are immutable once constructed.
 """
 
 from __future__ import annotations
@@ -147,29 +147,18 @@ class Board:
 def count_sets(board: Board) -> int:
     """Number of sets in the board, by pair completion.
 
-    Every unordered pair is completed to its third card and tested for
-    membership; each set is found three times (once per pair it contains),
-    so the tally divides by 3.  O(n^2) with O(1) membership.
+    The cards join one at a time through add_to_gain.  gain[c], read just
+    before c joins, counts the sets whose other two cards joined earlier,
+    so each set is counted once, at its last card.  O(n^2).
     """
-    cards = board.cards
-    if len(cards) < 3:
-        return 0
-    mask = board.mask
-    tally = 0
-    if board.dim <= geometry.TABLE_MAX_DIM:
-        rows = geometry.third_rows(board.dim)
-        for i, a in enumerate(cards):
-            row = rows[a]
-            for b in cards[i + 1 :]:
-                if mask >> row[b] & 1:
-                    tally += 1
-    else:
-        d = board.dim
-        for i, a in enumerate(cards):
-            for b in cards[i + 1 :]:
-                if mask >> geometry.third_value(a, b, d) & 1:
-                    tally += 1
-    return tally // 3
+    rows = geometry.third_rows(board.dim)
+    gain = [0] * geometry.deck_size(board.dim)
+    chosen: list[int] = []
+    total = 0
+    for c in board.cards:
+        total += gain[c]
+        add_to_gain(gain, chosen, c, rows)
+    return total
 
 
 def list_sets(board: Board) -> list[tuple[int, int, int]]:
@@ -192,22 +181,17 @@ def count_sets_bruteforce(board: Board) -> int:
     return sum(1 for a, b, c in combinations(board.cards, 3) if geometry.is_line(a, b, c, d))
 
 
-def add_to_gain(gain: list[int], chosen: list[int], card: int, dim: int, rows) -> None:
+def add_to_gain(gain: list[int], chosen: list[int], card: int, rows) -> None:
     """Append `card` to `chosen`, keeping the gain array in step.
 
     gain[x] is the number of pairs of chosen cards whose third card is x,
     so a card x outside `chosen` would add exactly gain[x] sets.  Adding a
-    card costs one third-card lookup per chosen card: `rows` is
-    third_rows(dim), or None above TABLE_MAX_DIM, where only the needed
-    thirds are computed digit-wise.
+    card costs one read of its row of `rows`, the shared
+    geometry.third_rows(d), per chosen card.
     """
-    if rows is not None:
-        row = rows[card]
-        for b in chosen:
-            gain[row[b]] += 1
-    else:
-        for b in chosen:
-            gain[geometry.third_value(card, b, dim)] += 1
+    row = rows[card]
+    for b in chosen:
+        gain[row[b]] += 1
     chosen.append(card)
 
 
@@ -222,15 +206,9 @@ def delta_sets(board: Board, candidate: int) -> int:
     if candidate in board:
         raise DuplicateCardError(f"card {candidate} is already on the board")
     mask = board.mask
+    row = geometry.third_rows(board.dim)[candidate]
     tally = 0
-    if board.dim <= geometry.TABLE_MAX_DIM:
-        row = geometry.third_rows(board.dim)[candidate]
-        for b in board.cards:
-            if mask >> row[b] & 1:
-                tally += 1
-    else:
-        d = board.dim
-        for b in board.cards:
-            if mask >> geometry.third_value(candidate, b, d) & 1:
-                tally += 1
+    for b in board.cards:
+        if mask >> row[b] & 1:
+            tally += 1
     return tally // 2

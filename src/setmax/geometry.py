@@ -16,9 +16,9 @@ from dataclasses import dataclass
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8
 
-# Largest dimension for which the full pairwise third-card table is built;
-# above this the table would not fit comfortably in memory and callers fall
-# back to third_value().
+# Largest dimension for which third_rows builds the full pairwise table;
+# above this the table would not fit comfortably in memory, so its rows
+# compute each entry digit-wise when it is read.
 TABLE_MAX_DIM = 6
 
 
@@ -107,17 +107,34 @@ def third_card(a: int, b: int, d: int) -> int:
     return third_value(a, b, d)
 
 
-@functools.lru_cache(maxsize=None)
-def third_rows(d: int) -> list[list[int]]:
-    """Lookup table rows[a][b] == third card of the pair (diagonal is a itself).
+class _ThirdRow:
+    """Row a of the third-card table above TABLE_MAX_DIM: row[b] is
+    third_value(a, b, d), computed when it is read."""
 
-    Only built for d <= TABLE_MAX_DIM; the entries are shared with every
-    caller, so treat the rows as read-only.
+    __slots__ = ("a", "d")
+
+    def __init__(self, a: int, d: int):
+        self.a = a
+        self.d = d
+
+    def __getitem__(self, b: int) -> int:
+        return third_value(self.a, b, self.d)
+
+
+@functools.lru_cache(maxsize=None)
+def third_rows(d: int) -> list:
+    """Rows of the third-card table: rows[a][b] == third_value(a, b, d)
+    (the diagonal is a itself), for every supported d.
+
+    Up to TABLE_MAX_DIM every row is a built list of ints; above it each
+    row computes its entries digit-wise on demand, so the table costs one
+    small object per card.  The rows are shared with every caller, so
+    treat them as read-only.
     """
     check_dimension(d)
-    if d > TABLE_MAX_DIM:
-        raise ValueError(f"third-card table is limited to d <= {TABLE_MAX_DIM}, got {d}")
     n = 3 ** d
+    if d > TABLE_MAX_DIM:
+        return [_ThirdRow(a, d) for a in range(n)]
     return [[third_value(a, b, d) for b in range(n)] for a in range(n)]
 
 
@@ -151,20 +168,11 @@ def all_lines(d: int) -> list[tuple[int, int, int]]:
     check_dimension(d)
     n = 3 ** d
     lines = []
-    if d <= TABLE_MAX_DIM:
-        rows = third_rows(d)
-        for a in range(n):
-            row = rows[a]
-            for b in range(a + 1, n):
-                t = row[b]
-                if t > b:
-                    lines.append((a, b, t))
-    else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                t = third_value(a, b, d)
-                if t > b:
-                    lines.append((a, b, t))
+    for a, row in enumerate(third_rows(d)):
+        for b in range(a + 1, n):
+            t = row[b]
+            if t > b:
+                lines.append((a, b, t))
     return lines
 
 

@@ -21,7 +21,7 @@ import csv
 from dataclasses import dataclass
 
 from . import geometry
-from .counting import Board, add_to_gain, delta_sets
+from .counting import Board, add_to_gain
 
 TRACE_CSV_HEADER = ("turn", "card", "new_sets", "cumulative")
 
@@ -55,11 +55,6 @@ class CmmTrace:
             writer.writerow((t.turn, digits, t.new_sets, t.cumulative))
 
 
-def count_new_sets(selected: Board, candidate: int) -> int:
-    """Sets the candidate would add to the selected board (pair completion)."""
-    return delta_sets(selected, candidate)
-
-
 def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
     """Run the greedy construction for `upto` turns (default: the whole deck)."""
     geometry.check_dimension(dim)
@@ -69,7 +64,7 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
     if not 1 <= upto <= deck:
         raise ValueError(f"turn limit must be in [1, {deck}], got {upto}")
 
-    rows = geometry.third_rows(dim) if dim <= geometry.TABLE_MAX_DIM else None
+    rows = geometry.third_rows(dim)
 
     # gain[c] is the number of new sets card c would add.  Taken cards are
     # parked at -deck: at most (deck - 1) / 2 pairs complete to any one
@@ -84,7 +79,7 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
         nonlocal cumulative
         new = gain[c]
         cumulative += new
-        add_to_gain(gain, selected, c, dim, rows)
+        add_to_gain(gain, selected, c, rows)
         gain[c] = -deck
         turns.append(CmmTurn(turn, c, new, cumulative))
 

@@ -205,16 +205,14 @@ def _dfs_segment(
     nodes = state["nodes"]
     pruned = state["pruned"]
 
-    # Above TABLE_MAX_DIM the full pair table would not fit in memory;
-    # add_to_gain then computes only the thirds it needs.
-    rows = geometry.third_rows(dim) if dim <= geometry.TABLE_MAX_DIM else None
+    rows = geometry.third_rows(dim)
 
     gain = [0] * deck
     chosen = []
     cnt = 0
     for x in base:
         cnt += gain[x]
-        add_to_gain(gain, chosen, x, dim, rows)
+        add_to_gain(gain, chosen, x, rows)
 
     if need == 0:
         # Degenerate unit: the base itself is the only board in the subtree.
@@ -234,7 +232,7 @@ def _dfs_segment(
         cnt_stack.append(cnt)
         cnt += gain[s]
         gain = gain.copy()
-        add_to_gain(gain, chosen, s, dim, rows)
+        add_to_gain(gain, chosen, s, rows)
 
     c = state["next_card"]
     best_eff = best if best > seed_best else seed_best
@@ -311,7 +309,7 @@ def _dfs_segment(
             cnt_stack.append(cnt)
             cnt += gain[c]
             gain = gain.copy()
-            add_to_gain(gain, chosen, c, dim, rows)
+            add_to_gain(gain, chosen, c, rows)
             c += 1
     except KeyboardInterrupt:
         _sync()
@@ -330,7 +328,8 @@ def _checkpoint_for(config: SearchConfig, kind: str, state: dict) -> Checkpoint:
 
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
-    """Write a checkpoint atomically (JSON, versioned)."""
+    """Write a checkpoint atomically and durably (JSON, versioned): the data
+    reaches the disk before the rename makes it the checkpoint."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -341,6 +340,8 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(payload, f)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
@@ -441,13 +442,16 @@ def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: fl
     return _result_from_state(config, state, elapsed, complete)
 
 
+def _units(config: SearchConfig, base: list[int], lo: int) -> list[int]:
+    """The top-level cards that split a parallel walk into work units."""
+    return list(range(lo, 3 ** config.dim - (config.n - len(base)) + 1))
+
+
 def _run_parallel(
     config: SearchConfig, base: list[int], lo: int, *, prune: bool, done: dict | None = None
 ) -> SearchResult:
     t0 = time.monotonic()
-    deck = 3 ** config.dim
-    need = config.n - len(base)
-    units = list(range(lo, deck - need + 1))
+    units = _units(config, base, lo)
     done = dict(done or {})
     pending = [u for u in units if str(u) not in done]
     path = config.checkpoint_path
@@ -489,7 +493,7 @@ def _run_parallel(
                 )
                 next_report = time.monotonic() + config.report_interval
 
-    complete = len(done) == len(units) and not stopped
+    complete = all(str(u) in done for u in units) and not stopped
     if path is not None:
         if complete:
             merged = _merge_units(config, units, done, 0.0, True)
@@ -603,6 +607,24 @@ def _check_frontier(config: SearchConfig, base: list[int], lo: int, state: dict)
     _check_witness(config, state["witness"])
 
 
+def _check_units(config: SearchConfig, units: list[int], done) -> None:
+    """Reject a `units` checkpoint whose finished units the pool could not
+    have saved: each key must name a unit of this run and each result
+    carry integer counters and a valid witness."""
+    if not isinstance(done, dict):
+        raise CheckpointError(f"checkpoint done {done!r} is not a mapping of units")
+    names = {str(u) for u in units}
+    for key, r in done.items():
+        if key not in names:
+            raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
+        if not isinstance(r, dict) or not {"best", "witness", "nodes", "pruned"} <= r.keys():
+            raise CheckpointError(f"checkpoint result of unit {key} lacks best, witness, nodes or pruned")
+        for field in ("best", "nodes", "pruned"):
+            if not _is_int(r[field]):
+                raise CheckpointError(f"checkpoint {field} {r[field]!r} of unit {key} is not an integer")
+        _check_witness(config, r["witness"])
+
+
 def resume_search(
     checkpoint_path,
     *,
@@ -614,8 +636,8 @@ def resume_search(
 
     A run resumed any number of times ends with the same result as an
     uninterrupted one, elapsed time aside.  Raises CheckpointError for a
-    file that is unreadable, from another version, or holds a frontier or
-    witness the walk could not have saved.
+    file that is unreadable, from another version, or holds a frontier,
+    a finished unit or a witness the search could not have saved.
     """
     cp = checkpoint_load(checkpoint_path)
     config = SearchConfig(
@@ -640,7 +662,12 @@ def resume_search(
         _check_frontier(config, base, lo, state)
         return _run_sequential(config, base, state, prune=config.mode == "pruned")
     if cp.kind == "units":
-        return _run_parallel(config, base, lo, prune=config.mode == "pruned", done=cp.state["done"])
+        try:
+            done = cp.state["done"]
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint {checkpoint_path} is missing field {exc}") from exc
+        _check_units(config, _units(config, base, lo), done)
+        return _run_parallel(config, base, lo, prune=config.mode == "pruned", done=done)
     raise CheckpointError(f"unknown checkpoint kind {cp.kind!r}")
 
 

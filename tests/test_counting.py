@@ -104,7 +104,7 @@ class TestCountSets:
                 b = Board(2, cards)
                 assert count_sets(b) == count_sets_bruteforce(b)
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 6, 7, 8])
     def test_engines_agree_on_random_boards(self, d):
         rng = random.Random(d * 1000 + 1)
         for _ in range(500):
@@ -151,7 +151,7 @@ class TestDeltaSets:
     def test_matches_recount_on_random_pairs(self):
         rng = random.Random(17)
         for _ in range(500):
-            d = rng.choice((3, 4))
+            d = rng.choice((3, 4, 7, 8))
             deck = 3 ** d
             n = rng.randrange(0, 15)
             cards = rng.sample(range(deck), n + 1)

@@ -202,8 +202,8 @@ class TestReferenceWalk:
         assert outcome(naive(3, n)) == reference_outcome(3, n, symmetry=False, prune=False)
 
     def test_d7_takes_only_the_thirds_it_needs(self):
-        # d=7 is above TABLE_MAX_DIM: a push computes its few thirds
-        # digit-wise instead of building a full row of the pair table.
+        # d=7 is above the built pair table: a push computes its few
+        # thirds digit-wise instead of reading a full row.
         t0 = time.monotonic()
         r = pruned(7, 4)
         elapsed = time.monotonic() - t0
@@ -371,6 +371,40 @@ class TestCheckpointValidation:
         code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
         assert "strictly increasing" in capsys.readouterr().err
+
+
+def _units_checkpoint(tmp_path, done):
+    """A d=3 n=10 `units` checkpoint whose finished units are `done`."""
+    path = tmp_path / "units.ckpt"
+    checkpoint_save(Checkpoint(3, 10, "pruned", True, "units", {"done": done}), path)
+    return path
+
+
+UNIT_2 = {"unit": 2, "best": 12, "witness": list(range(10)), "nodes": 5, "pruned": 0}
+
+BAD_UNITS = {
+    "done is a list": [1, 2],
+    "key is not a unit": {"2": UNIT_2, "999": UNIT_2},
+    "result is not a mapping": {"2": 5},
+    "result lacks pruned": {"2": {k: v for k, v in UNIT_2.items() if k != "pruned"}},
+    "best is a string": {"2": {**UNIT_2, "best": "x"}},
+    "nodes is a float": {"2": {**UNIT_2, "nodes": 1.5}},
+    "witness repeats a card": {"2": {**UNIT_2, "witness": [0] * 10}},
+}
+
+
+class TestUnitsCheckpointValidation:
+    @pytest.mark.parametrize("case", list(BAD_UNITS))
+    def test_rejected_on_resume(self, tmp_path, case):
+        path = _units_checkpoint(tmp_path, BAD_UNITS[case])
+        with pytest.raises(CheckpointError):
+            resume_search(path)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = _units_checkpoint(tmp_path, BAD_UNITS["key is not a unit"])
+        code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+        assert "not a work unit" in capsys.readouterr().err
 
 
 class TestRunTable:
