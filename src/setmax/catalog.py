@@ -166,19 +166,18 @@ def _check_eight_regular(results: list[StructuralResult]) -> None:
     )
 
 
-def verify_all(fixture_list: list[Fixture] | None = None) -> CatalogReport:
+def verify_all() -> CatalogReport:
     """Recount every fixture with both engines and run the structural checks."""
     fixture_results = []
-    for f in fixtures() if fixture_list is None else fixture_list:
+    for f in fixtures():
         fast = count_sets(f.board)
         slow = count_sets_bruteforce(f.board)
         fixture_results.append(
             FixtureResult(f.name, f.expected_sets, fast, fast == slow == f.expected_sets)
         )
     checks: list[StructuralResult] = []
-    if fixture_list is None:
-        _check_extra_lines(checks)
-        _check_embedded_square(checks)
-        _check_skew_closure(checks)
-        _check_eight_regular(checks)
+    _check_extra_lines(checks)
+    _check_embedded_square(checks)
+    _check_skew_closure(checks)
+    _check_eight_regular(checks)
     return CatalogReport(fixture_results, checks)

@@ -29,8 +29,16 @@ known when it starts.
 The frontier of the depth-first walk is a stack of cards plus the next
 candidate at the current level; checkpoints serialize exactly that, and a
 resumed run rebuilds the gain array from it, so it continues the identical
-traversal.  Parallel runs split the tree at its top level into work units
-and checkpoint at unit boundaries.
+traversal.  A finished walk saves its exhausted frontier: an empty stack
+whose next card ends the top level.
+
+Parallel runs split the same walk at its top level.  Work unit u is the
+walk over the same base from the frontier {stack: [], next_card: u} whose
+top level ends at u + 1: card u itself, then its subtree.  The units of a
+run are its top-level cards, so their counters add up to the sequential
+walk's, and a one-worker pool, which seeds each unit with the best of the
+units before it, counts exactly as the sequential walk does.  A parallel
+checkpoint maps each finished unit to the exhausted frontier its walk left.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .counting import Board, add_to_gain
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
 CHECKPOINT_FORMAT = "setmax-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds", "complete")
 
@@ -85,8 +93,8 @@ class SearchConfig:
     def __post_init__(self):
         geometry.check_dimension(self.dim)
         deck = 3 ** self.dim
-        if not 3 <= self.n <= deck:
-            raise ValueError(f"board size must be in [3, {deck}], got {self.n}")
+        if not isinstance(self.n, int) or not 3 <= self.n <= deck:
+            raise ValueError(f"board size must be an integer in [3, {deck}], got {self.n!r}")
         if self.mode not in ("naive", "pruned"):
             raise ValueError(f"mode must be 'naive' or 'pruned', got {self.mode!r}")
         if self.threads < 1:
@@ -113,7 +121,7 @@ class Checkpoint:
     n: int
     mode: str
     symmetry: bool
-    kind: str  # "stack", "units" or "finished"
+    kind: str  # "stack" or "units"
     state: dict
 
 
@@ -153,6 +161,7 @@ def _dfs_segment(
     state: dict,
     *,
     prune: bool,
+    end: int | None = None,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
     report_interval: float | None = None,
@@ -162,9 +171,12 @@ def _dfs_segment(
     exhausted (returns True) or a stop trigger fires (returns False).
 
     The walk extends `base` with cards in strictly increasing order until
-    boards of n cards are reached.  `seed_best` only tightens pruning;
-    best/witness in the state reflect boards actually visited here, which
-    is what keeps merged parallel results deterministic.
+    boards of n cards are reached.  `end`, when given, ends the top level
+    (the first card after `base`) before card `end`; work unit u is the
+    walk from {stack: [], next_card: u} with end u + 1.  `seed_best` only
+    tightens pruning; best/witness in the state reflect boards actually
+    visited here, which is what keeps merged parallel results
+    deterministic.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk takes
@@ -196,9 +208,9 @@ def _dfs_segment(
     saved it, resumes just as well.
     """
     deck = 3 ** dim
-    need = n - len(base)
-    if need < 0:
-        raise ValueError("base is larger than the target board")
+    base_len = len(base)
+    if base_len >= n:
+        raise ValueError("base leaves no card to choose")
 
     best = state["best"]
     witness = state["witness"]
@@ -213,15 +225,6 @@ def _dfs_segment(
     for x in base:
         cnt += gain[x]
         add_to_gain(gain, chosen, x, rows)
-
-    if need == 0:
-        # Degenerate unit: the base itself is the only board in the subtree.
-        if nodes == 0:
-            nodes = 1
-            best = cnt
-            witness = list(base)
-        state.update(best=best, witness=witness, nodes=nodes, pruned=pruned)
-        return True
 
     # Rebuild the gain array along the saved frontier; a pop restores the
     # snapshot taken by its push.
@@ -240,9 +243,10 @@ def _dfs_segment(
     # Indexed by the size of the chosen board: the end of the candidate
     # range (leaving room for the cards still to come), and the most sets
     # any completion can still add once a candidate has joined.
-    base_len = len(base)
     leaf = n - 1
     limit_at = [deck - (leaf - size) for size in range(n)]
+    if end is not None:
+        limit_at[base_len] = min(limit_at[base_len], end)
     slack_at = [bound_remaining(size + 1, n) for size in range(n)]
 
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
@@ -346,6 +350,7 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
 
 
 def checkpoint_load(path) -> Checkpoint:
+    """Read a checkpoint naming a valid pruned search (else CheckpointError)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
@@ -360,7 +365,9 @@ def checkpoint_load(path) -> Checkpoint:
         )
     try:
         cfg = payload["config"]
-        return Checkpoint(
+        if not isinstance(cfg, dict):
+            raise CheckpointError(f"checkpoint config {cfg!r} is not a mapping")
+        cp = Checkpoint(
             dim=cfg["dim"],
             n=cfg["n"],
             mode=cfg["mode"],
@@ -370,6 +377,17 @@ def checkpoint_load(path) -> Checkpoint:
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} is missing field {exc}") from exc
+    if cp.kind not in ("stack", "units"):
+        raise CheckpointError(f"unknown checkpoint kind {cp.kind!r}")
+    if not isinstance(cp.state, dict):
+        raise CheckpointError(f"checkpoint state {cp.state!r} is not a mapping")
+    if not isinstance(cp.symmetry, bool):
+        raise CheckpointError(f"checkpoint symmetry {cp.symmetry!r} is not a boolean")
+    try:
+        SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry, checkpoint_path=str(path))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} describes no valid search: {exc}") from exc
+    return cp
 
 
 def _result_from_state(config: SearchConfig, state: dict, elapsed: float, complete: bool) -> SearchResult:
@@ -402,23 +420,17 @@ def _run_sequential(config: SearchConfig, base: list[int], state: dict, *, prune
         report_interval=config.report_interval if path is not None else None,
         on_checkpoint=save,
     )
-    if finished and path is not None:
-        done = {k: state[k] for k in ("best", "witness", "nodes", "pruned")}
-        checkpoint_save(_checkpoint_for(config, "finished", done), path)
+    if finished:
+        save(state)
     return _result_from_state(config, state, time.monotonic() - t0, finished)
 
 
-def _unit_worker(args) -> dict:
-    dim, n, base, unit_card, seed_best, prune = args
-    state = _fresh_state(unit_card + 1)
-    _dfs_segment(dim, n, base + [unit_card], state, prune=prune, seed_best=seed_best)
-    return {
-        "unit": unit_card,
-        "best": state["best"],
-        "witness": state["witness"],
-        "nodes": state["nodes"],
-        "pruned": state["pruned"],
-    }
+def _unit_worker(args) -> dict | None:
+    """Walk work unit u; return the exhausted frontier it leaves, or None
+    if the walk was interrupted."""
+    dim, n, base, u, seed_best, prune = args
+    state = _fresh_state(u)
+    return state if _dfs_segment(dim, n, base, state, prune=prune, end=u + 1, seed_best=seed_best) else None
 
 
 def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: float, complete: bool) -> SearchResult:
@@ -479,11 +491,14 @@ def _run_parallel(
             for fut in ready:
                 u = futures.pop(fut)
                 r = fut.result()
+                if r is None:
+                    # An interrupted unit stays pending and no new unit starts.
+                    stopped = True
+                    continue
                 done[str(u)] = r
                 if r["best"] > seed:
                     seed = r["best"]
-                total_nodes = sum(x["nodes"] for x in done.values())
-                if stop is not None and total_nodes >= stop:
+                if stop is not None and sum(x["nodes"] for x in done.values()) >= stop:
                     stopped = True
                 if not stopped:
                     submit_next()
@@ -493,25 +508,9 @@ def _run_parallel(
                 )
                 next_report = time.monotonic() + config.report_interval
 
-    complete = all(str(u) in done for u in units) and not stopped
+    complete = all(str(u) in done for u in units)
     if path is not None:
-        if complete:
-            merged = _merge_units(config, units, done, 0.0, True)
-            checkpoint_save(
-                _checkpoint_for(
-                    config,
-                    "finished",
-                    {
-                        "best": merged.max_sets,
-                        "witness": list(merged.witness.cards) if merged.witness is not None else None,
-                        "nodes": merged.nodes_visited,
-                        "pruned": merged.configs_pruned,
-                    },
-                ),
-                path,
-            )
-        else:
-            checkpoint_save(_checkpoint_for(config, "units", {"done": done}), path)
+        checkpoint_save(_checkpoint_for(config, "units", {"done": done}), path)
     return _merge_units(config, units, done, time.monotonic() - t0, complete)
 
 
@@ -575,13 +574,21 @@ def _check_witness(config: SearchConfig, witness) -> None:
         )
 
 
-def _check_frontier(config: SearchConfig, base: list[int], lo: int, state: dict) -> None:
+_FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
+
+
+def _check_frontier(config: SearchConfig, base: list[int], lo: int, state, what: str = "state") -> None:
     """Reject a saved depth-first frontier that the walk could not have left.
 
     The resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
     resume silently into a wrong answer.
     """
+    if not isinstance(state, dict):
+        raise CheckpointError(f"checkpoint {what} {state!r} is not a mapping")
+    for key in _FRONTIER_KEYS:
+        if key not in state:
+            raise CheckpointError(f"checkpoint {what} is missing field {key!r}")
     deck = 3 ** config.dim
     need = config.n - len(base)
     stack = state["stack"]
@@ -607,22 +614,21 @@ def _check_frontier(config: SearchConfig, base: list[int], lo: int, state: dict)
     _check_witness(config, state["witness"])
 
 
-def _check_units(config: SearchConfig, units: list[int], done) -> None:
+def _check_units(config: SearchConfig, base: list[int], lo: int, done) -> None:
     """Reject a `units` checkpoint whose finished units the pool could not
-    have saved: each key must name a unit of this run and each result
-    carry integer counters and a valid witness."""
+    have saved: each key must name a work unit u of this run and hold the
+    exhausted frontier of its walk (empty stack, next card u + 1)."""
     if not isinstance(done, dict):
         raise CheckpointError(f"checkpoint done {done!r} is not a mapping of units")
-    names = {str(u) for u in units}
+    names = {str(u) for u in _units(config, base, lo)}
     for key, r in done.items():
         if key not in names:
             raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
-        if not isinstance(r, dict) or not {"best", "witness", "nodes", "pruned"} <= r.keys():
-            raise CheckpointError(f"checkpoint result of unit {key} lacks best, witness, nodes or pruned")
-        for field in ("best", "nodes", "pruned"):
-            if not _is_int(r[field]):
-                raise CheckpointError(f"checkpoint {field} {r[field]!r} of unit {key} is not an integer")
-        _check_witness(config, r["witness"])
+        _check_frontier(config, base, lo, r, f"unit {key}")
+        if r["stack"] or r["next_card"] != int(key) + 1:
+            raise CheckpointError(
+                f"checkpoint unit {key} is not exhausted: stack {r['stack']!r}, next_card {r['next_card']!r}"
+            )
 
 
 def resume_search(
@@ -635,9 +641,10 @@ def resume_search(
     """Continue a checkpointed pruned search to completion (or the next stop).
 
     A run resumed any number of times ends with the same result as an
-    uninterrupted one, elapsed time aside.  Raises CheckpointError for a
-    file that is unreadable, from another version, or holds a frontier,
-    a finished unit or a witness the search could not have saved.
+    uninterrupted one, elapsed time aside; resuming a finished run returns
+    its result at once.  Raises CheckpointError for a file that is
+    unreadable, from another version, names no valid search, or holds a
+    frontier, a finished unit or a witness the search could not have saved.
     """
     cp = checkpoint_load(checkpoint_path)
     config = SearchConfig(
@@ -650,25 +657,13 @@ def resume_search(
         report_interval=report_interval,
         stop_after_nodes=stop_after_nodes,
     )
-    if cp.kind == "finished":
-        _check_witness(config, cp.state.get("witness"))
-        return _result_from_state(config, cp.state, 0.0, True)
     base, lo = _base_and_lo(config.n, config.mode, config.symmetry)
     if cp.kind == "stack":
-        try:
-            state = {k: cp.state[k] for k in ("stack", "next_card", "best", "witness", "nodes", "pruned")}
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint {checkpoint_path} is missing field {exc}") from exc
-        _check_frontier(config, base, lo, state)
-        return _run_sequential(config, base, state, prune=config.mode == "pruned")
-    if cp.kind == "units":
-        try:
-            done = cp.state["done"]
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint {checkpoint_path} is missing field {exc}") from exc
-        _check_units(config, _units(config, base, lo), done)
-        return _run_parallel(config, base, lo, prune=config.mode == "pruned", done=done)
-    raise CheckpointError(f"unknown checkpoint kind {cp.kind!r}")
+        _check_frontier(config, base, lo, cp.state)
+        state = {k: cp.state[k] for k in _FRONTIER_KEYS}
+        return _run_sequential(config, base, state, prune=True)
+    _check_units(config, base, lo, cp.state.get("done"))
+    return _run_parallel(config, base, lo, prune=True, done=cp.state["done"])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from itertools import combinations
 
+from setmax import catalog
 from setmax.catalog import fixture, fixtures, verify_all
 from setmax.counting import Board, count_sets, count_sets_bruteforce
 
@@ -42,12 +43,13 @@ def test_verify_all_passes():
     }
 
 
-def test_corrupted_fixture_is_reported():
-    broken = replace(fixture("five_two"), expected_sets=3)
-    report = verify_all([broken])
+def test_corrupted_fixture_is_reported(monkeypatch):
+    broken = [replace(f, expected_sets=3) if f.name == "five_two" else f for f in fixtures()]
+    monkeypatch.setattr(catalog, "fixtures", lambda: list(broken))
+    report = verify_all()
     assert not report.ok
-    entry = report.fixtures[0]
-    assert entry.fixture == "five_two" and entry.expected == 3 and entry.got == 2
+    bad = [r for r in report.fixtures if not r.ok]
+    assert [(r.fixture, r.expected, r.got) for r in bad] == [("five_two", 3, 2)]
 
 
 def test_json_report_shape():

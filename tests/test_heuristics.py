@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from setmax.counting import Board, count_sets, delta_sets
+from setmax.counting import Board, count_sets, delta_sets, list_sets
 from setmax.geometry import cube_count, cube_of, third_rows, third_value
 from setmax.heuristics import cmm_run
 
@@ -86,13 +86,13 @@ class TestAgainstReference:
         assert got == reference_cmm(dim)
 
     def test_d7_prefixes_recount(self):
-        # d=7 is above the built pair table; its rows compute thirds
-        # digit-wise.  count_sets and cmm_run both go through add_to_gain,
-        # so this checks the prefixes against each other, not an oracle.
+        # d=7 is above the built pair table.  list_sets completes each pair
+        # digit by digit and never touches add_to_gain, so it is an oracle
+        # independent of the trace's gain array.
         trace = cmm_run(7, upto=60)
         assert len(trace.turns) == 60
         for i, t in enumerate(trace.turns, start=1):
-            assert count_sets(Board(7, (x.card for x in trace.turns[:i]))) == t.cumulative
+            assert len(list_sets(Board(7, (x.card for x in trace.turns[:i])))) == t.cumulative
 
 
 class TestTraceValues:

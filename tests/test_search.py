@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from setmax import cli
+from setmax import cli, search
 from setmax.counting import Board, count_sets, count_sets_bruteforce, delta_sets
 from setmax.geometry import third_rows
 from setmax.search import (
@@ -272,6 +272,34 @@ class TestParallel:
     def test_naive_parallel(self):
         assert naive(3, 5, threads=2).max_sets == 2
 
+    def test_one_worker_pool_counts_as_sequential(self, tmp_path):
+        # A one-worker pool runs the units in order, each seeded with the
+        # best of the units before it: the sequential walk, split up.
+        path = _units_checkpoint(tmp_path, {})
+        assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 10))
+
+    def test_interrupted_unit_is_not_done(self, tmp_path, monkeypatch):
+        # The pool forks, so the patched walk reaches the workers: unit 2
+        # stops at its first stop check, as a walk that catches
+        # KeyboardInterrupt does.
+        walk = search._dfs_segment
+
+        def stop_unit_2(dim, n, base, state, **kw):
+            if kw.get("end") == 3:
+                kw["stop_after_nodes"] = 1
+            return walk(dim, n, base, state, **kw)
+
+        monkeypatch.setattr(search, "_dfs_segment", stop_unit_2)
+        path = tmp_path / "units.ckpt"
+        r = pruned(3, 10, threads=2, checkpoint_path=str(path))
+        assert not r.complete
+        saved = checkpoint_load(path)
+        assert saved.kind == "units" and "2" not in saved.state["done"]
+        monkeypatch.undo()
+        ref = pruned(3, 10)
+        r = resume_search(path, threads=2)
+        assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
 
 class TestCheckpoint:
     def test_kill_and_resume_three_points(self, tmp_path):
@@ -293,13 +321,18 @@ class TestCheckpoint:
     def test_resume_from_final_checkpoint_is_identity(self, tmp_path):
         path = tmp_path / "done.ckpt"
         ref = pruned(3, 9, checkpoint_path=str(path))
+        assert checkpoint_load(path).kind == "stack"
         again = resume_search(path)
         assert again.complete
-        assert (again.max_sets, again.nodes_visited, again.witness) == (
-            ref.max_sets,
-            ref.nodes_visited,
-            ref.witness,
-        )
+        assert outcome(again) == outcome(ref)
+
+    def test_resume_from_final_units_checkpoint_is_identity(self, tmp_path):
+        path = tmp_path / "done.ckpt"
+        ref = pruned(3, 9, threads=2, checkpoint_path=str(path))
+        assert ref.complete and checkpoint_load(path).kind == "units"
+        again = resume_search(path, threads=2)
+        assert again.complete
+        assert outcome(again) == outcome(ref)
 
     def test_parallel_units_resume(self, tmp_path):
         ref = pruned(3, 10, threads=2)
@@ -359,7 +392,46 @@ BAD_FRONTIERS = {
 }
 
 
+def _edited_file(tmp_path, edit):
+    """A fresh d=3 n=10 stack checkpoint with `edit` applied to the file."""
+    path = tmp_path / "edited.ckpt"
+    checkpoint_save(Checkpoint(3, 10, "pruned", True, "stack", search._fresh_state(2)), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+BAD_FILES = {
+    "stack state is a number": (lambda p: p.update(state=5), "state 5 is not a mapping"),
+    "units state is a number": (lambda p: p.update(kind="units", state=5), "state 5 is not a mapping"),
+    "config is a list": (lambda p: p.update(config=[1, 2]), "config"),
+    "dim is a string": (lambda p: p["config"].update(dim="x"), "dimension"),
+    "n beyond the deck": (lambda p: p["config"].update(n=99), "board size"),
+    "n is a float": (lambda p: p["config"].update(n=10.0), "board size"),
+    "mode is naive": (lambda p: p["config"].update(mode="naive"), "pruned mode"),
+    "symmetry is a string": (lambda p: p["config"].update(symmetry="yes"), "symmetry"),
+    "kind is finished": (lambda p: p.update(kind="finished"), "kind"),
+    "stack state lacks pruned": (lambda p: p["state"].pop("pruned"), "pruned"),
+    "units state lacks done": (lambda p: p.update(kind="units"), "done"),
+}
+
+
 class TestCheckpointValidation:
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_corrupt_file_rejected(self, tmp_path, case):
+        edit, reason = BAD_FILES[case]
+        path = _edited_file(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=reason):
+            resume_search(path)
+
+    def test_corrupt_file_cli_exit_code(self, tmp_path, capsys):
+        for case, (edit, reason) in BAD_FILES.items():
+            path = _edited_file(tmp_path, edit)
+            code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
+            assert code == cli.EXIT_CHECKPOINT == 5, case
+            assert reason in capsys.readouterr().err, case
+
     @pytest.mark.parametrize("case", list(BAD_FRONTIERS))
     def test_rejected_on_resume(self, tmp_path, case):
         path = _edited_checkpoint(tmp_path, BAD_FRONTIERS[case])
@@ -380,28 +452,37 @@ def _units_checkpoint(tmp_path, done):
     return path
 
 
-UNIT_2 = {"unit": 2, "best": 12, "witness": list(range(10)), "nodes": 5, "pruned": 0}
+# The exhausted frontier unit 2's walk leaves: a valid `done` entry.
+UNIT_2 = {"stack": [], "next_card": 3, "best": 12, "witness": list(range(10)), "nodes": 5, "pruned": 0}
 
 BAD_UNITS = {
-    "done is a list": [1, 2],
-    "key is not a unit": {"2": UNIT_2, "999": UNIT_2},
-    "result is not a mapping": {"2": 5},
-    "result lacks pruned": {"2": {k: v for k, v in UNIT_2.items() if k != "pruned"}},
-    "best is a string": {"2": {**UNIT_2, "best": "x"}},
-    "nodes is a float": {"2": {**UNIT_2, "nodes": 1.5}},
-    "witness repeats a card": {"2": {**UNIT_2, "witness": [0] * 10}},
+    "done is a list": ([1, 2], "not a mapping of units"),
+    "key is not a unit": ({"2": UNIT_2, "999": UNIT_2}, "not a work unit"),
+    "result is not a mapping": ({"2": 5}, "unit 2 5 is not a mapping"),
+    "result lacks pruned": ({"2": {k: v for k, v in UNIT_2.items() if k != "pruned"}}, "missing field 'pruned'"),
+    "best is a string": ({"2": {**UNIT_2, "best": "x"}}, "best 'x' is not an integer"),
+    "nodes is a float": ({"2": {**UNIT_2, "nodes": 1.5}}, "nodes 1.5 is not an integer"),
+    "witness repeats a card": ({"2": {**UNIT_2, "witness": [0] * 10}}, "witness"),
+    "stack not empty": ({"2": {**UNIT_2, "stack": [2], "next_card": 3}}, "not exhausted"),
+    "next_card inside the unit": ({"2": {**UNIT_2, "next_card": 2}}, "not exhausted"),
+    "next_card beyond the unit": ({"2": {**UNIT_2, "next_card": 4}}, "not exhausted"),
 }
 
 
 class TestUnitsCheckpointValidation:
+    def test_valid_unit_accepted(self, tmp_path):
+        path = _units_checkpoint(tmp_path, {"2": UNIT_2})
+        assert resume_search(path, threads=2).complete
+
     @pytest.mark.parametrize("case", list(BAD_UNITS))
     def test_rejected_on_resume(self, tmp_path, case):
-        path = _units_checkpoint(tmp_path, BAD_UNITS[case])
-        with pytest.raises(CheckpointError):
+        done, reason = BAD_UNITS[case]
+        path = _units_checkpoint(tmp_path, done)
+        with pytest.raises(CheckpointError, match=reason):
             resume_search(path)
 
     def test_cli_exit_code(self, tmp_path, capsys):
-        path = _units_checkpoint(tmp_path, BAD_UNITS["key is not a unit"])
+        path = _units_checkpoint(tmp_path, BAD_UNITS["key is not a unit"][0])
         code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
         assert "not a work unit" in capsys.readouterr().err
