@@ -181,17 +181,19 @@ def count_sets_bruteforce(board: Board) -> int:
     return sum(1 for a, b, c in combinations(board.cards, 3) if geometry.is_line(a, b, c, d))
 
 
-def add_to_gain(gain: list[int], chosen: list[int], card: int, rows) -> None:
+def add_to_gain(gain: list[int], chosen: list[int], card: int, rows, step: int = 1) -> None:
     """Append `card` to `chosen`, keeping the gain array in step.
 
-    gain[x] is the number of pairs of chosen cards whose third card is x,
-    so a card x outside `chosen` would add exactly gain[x] sets.  Adding a
-    card costs one read of its row of `rows`, the shared
-    geometry.third_rows(d), per chosen card.
+    gain[x] is `step` times the number of pairs of chosen cards whose
+    third card is x, so with step 1 a card x outside `chosen` would add
+    exactly gain[x] sets.  The search's min-walk passes step -1 and scores
+    each set a card completes as a loss of one.  Adding a card costs one
+    read of its row of `rows`, the shared geometry.third_rows(d), per
+    chosen card.
     """
     row = rows[card]
     for b in chosen:
-        gain[row[b]] += 1
+        gain[row[b]] += step
     chosen.append(card)
 
 

@@ -39,6 +39,32 @@ run are its top-level cards, so their counters add up to the sequential
 walk's, and a one-worker pool, which seeds each unit with the best of the
 units before it, counts exactly as the sequential walk does.  A parallel
 checkpoint maps each finished unit to the exhausted frontier its walk left.
+
+Rows past half the deck are answered by their complements.  Let N = 3**d,
+r = (N - 1) / 2 (the lines through a card) and L = N * r / 3 (all lines).
+For a board B of k cards let t_i count the lines meeting B in exactly i
+cards.  Counting lines, incidences and pairs of B gives
+t_0 + t_1 + t_2 + t_3 = L, t_1 + 2 t_2 + 3 t_3 = k r and
+t_2 + 3 t_3 = C(k, 2), so the sets on the N - k cards outside B number
+
+    t_0 = L - k r + C(k, 2) - t_3,
+
+and M_d(N - k) = L - k r + C(k, 2) - m_d(k), where m_d(k) is the fewest
+sets on any k-card board.  A pruned row with 3 <= k = N - n < n therefore
+walks boards of k cards, the same lexicographic walk over the same base
+(cards 0 and 1 with symmetry on: the affine argument holds for any board
+of two or more cards).  Its score starts at L - k r + C(k, 2) and its gain
+array steps by -1 per completed pair, so cnt + gain[c] is exactly the set
+count of the complement of the board extended by c, and the walk maximizes
+it.  A card joining a board only adds sets, so a score never rises along a
+branch: the slack of every level is 0, and pruning with it stays exact.
+Every walked board reaching the final maximum has every prefix scoring at
+least that maximum, so strict pruning visits it whatever the shared best
+value does.  The witness is the complement of the first such board in walk
+order, as deterministic as a direct row's.  For these rows nodes and
+prunes count the min-walk, and a saved frontier and witness hold its
+k-card boards; the result's witness is their complement.  _walk is the one
+place that decides which rows walk this way.
 """
 
 from __future__ import annotations
@@ -57,7 +83,7 @@ from .counting import Board, add_to_gain
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
 CHECKPOINT_FORMAT = "setmax-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds", "complete")
 
@@ -97,8 +123,8 @@ class SearchConfig:
             raise ValueError(f"board size must be an integer in [3, {deck}], got {self.n!r}")
         if self.mode not in ("naive", "pruned"):
             raise ValueError(f"mode must be 'naive' or 'pruned', got {self.mode!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be positive, got {self.threads}")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
         if self.report_interval <= 0:
             raise ValueError("report_interval must be positive")
         if self.mode == "naive" and self.checkpoint_path is not None:
@@ -148,10 +174,21 @@ def _fresh_state(lo: int) -> dict:
     return {"stack": [], "next_card": lo, "best": -1, "witness": None, "nodes": 0, "pruned": 0}
 
 
-def _base_and_lo(n: int, mode: str, symmetry: bool) -> tuple[list[int], int]:
-    if mode == "pruned" and symmetry and n >= 2:
-        return [0, 1], 2
-    return [], 0
+def _walk(config: SearchConfig) -> tuple[int, list[int], int, bool]:
+    """The walk that answers `config`: (size, base, lo, complement).
+
+    The walk extends `base` to boards of `size` cards with candidates from
+    `lo` on.  A pruned row with 3 <= k = 3**d - n < n walks the k missing
+    cards (complement is True; see the module docstring), every other row
+    its own n cards.
+    """
+    pruned = config.mode == "pruned"
+    k = 3 ** config.dim - config.n
+    complement = pruned and 3 <= k < config.n
+    size = k if complement else config.n
+    if pruned and config.symmetry:
+        return size, [0, 1], 2, complement
+    return size, [], 0, complement
 
 
 def _dfs_segment(
@@ -161,6 +198,7 @@ def _dfs_segment(
     state: dict,
     *,
     prune: bool,
+    complement: bool,
     end: int | None = None,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
@@ -171,12 +209,14 @@ def _dfs_segment(
     exhausted (returns True) or a stop trigger fires (returns False).
 
     The walk extends `base` with cards in strictly increasing order until
-    boards of n cards are reached.  `end`, when given, ends the top level
-    (the first card after `base`) before card `end`; work unit u is the
-    walk from {stack: [], next_card: u} with end u + 1.  `seed_best` only
-    tightens pruning; best/witness in the state reflect boards actually
-    visited here, which is what keeps merged parallel results
-    deterministic.
+    boards of n cards are reached.  With `complement` it is the min-walk
+    of the module docstring: n is the number of missing cards, the score
+    counts the sets outside the board, and every slack is 0.  `end`, when
+    given, ends the top level (the first card after `base`) before card
+    `end`; work unit u is the walk from {stack: [], next_card: u} with end
+    u + 1.  `seed_best` only tightens pruning; best/witness in the state
+    reflect boards actually visited here, which is what keeps merged
+    parallel results deterministic.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk takes
@@ -219,12 +259,23 @@ def _dfs_segment(
 
     rows = geometry.third_rows(dim)
 
+    # The score of the empty board, the gain step and, indexed by the size
+    # of the chosen board, the most sets any completion can still add once
+    # a candidate has joined.
+    if complement:
+        cnt = geometry.line_count(dim) - n * geometry.lines_per_card(dim) + comb(n, 2)
+        step = -1
+        slack_at = [0] * n
+    else:
+        cnt = 0
+        step = 1
+        slack_at = [bound_remaining(size + 1, n) for size in range(n)]
+
     gain = [0] * deck
     chosen = []
-    cnt = 0
     for x in base:
         cnt += gain[x]
-        add_to_gain(gain, chosen, x, rows)
+        add_to_gain(gain, chosen, x, rows, step)
 
     # Rebuild the gain array along the saved frontier; a pop restores the
     # snapshot taken by its push.
@@ -235,19 +286,17 @@ def _dfs_segment(
         cnt_stack.append(cnt)
         cnt += gain[s]
         gain = gain.copy()
-        add_to_gain(gain, chosen, s, rows)
+        add_to_gain(gain, chosen, s, rows, step)
 
     c = state["next_card"]
     best_eff = best if best > seed_best else seed_best
 
-    # Indexed by the size of the chosen board: the end of the candidate
-    # range (leaving room for the cards still to come), and the most sets
-    # any completion can still add once a candidate has joined.
+    # The end of the candidate range, leaving room for the cards still to
+    # come, indexed by the size of the chosen board.
     leaf = n - 1
     limit_at = [deck - (leaf - size) for size in range(n)]
     if end is not None:
         limit_at[base_len] = min(limit_at[base_len], end)
-    slack_at = [bound_remaining(size + 1, n) for size in range(n)]
 
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
     next_report = time.monotonic() + report_interval if report_interval else None
@@ -313,7 +362,7 @@ def _dfs_segment(
             cnt_stack.append(cnt)
             cnt += gain[c]
             gain = gain.copy()
-            add_to_gain(gain, chosen, c, rows)
+            add_to_gain(gain, chosen, c, rows, step)
             c += 1
     except KeyboardInterrupt:
         _sync()
@@ -392,6 +441,9 @@ def checkpoint_load(path) -> Checkpoint:
 
 def _result_from_state(config: SearchConfig, state: dict, elapsed: float, complete: bool) -> SearchResult:
     witness = state["witness"]
+    if witness is not None and _walk(config)[3]:
+        walked = set(witness)
+        witness = [x for x in range(3 ** config.dim) if x not in walked]
     return SearchResult(
         max_sets=state["best"],
         witness=Board(config.dim, witness) if witness is not None else None,
@@ -402,20 +454,27 @@ def _result_from_state(config: SearchConfig, state: dict, elapsed: float, comple
     )
 
 
-def _run_sequential(config: SearchConfig, base: list[int], state: dict, *, prune: bool) -> SearchResult:
+def _walk_segment(config: SearchConfig, state: dict, **kw) -> bool:
+    """Advance the walk that answers `config` (see _walk and _dfs_segment)."""
+    size, base, _, complement = _walk(config)
+    return _dfs_segment(
+        config.dim, size, base, state, prune=config.mode == "pruned", complement=complement, **kw
+    )
+
+
+def _run_sequential(config: SearchConfig, state: dict | None = None) -> SearchResult:
     t0 = time.monotonic()
     path = config.checkpoint_path
+    if state is None:
+        state = _fresh_state(_walk(config)[2])
 
     def save(st):
         if path is not None:
             checkpoint_save(_checkpoint_for(config, "stack", dict(st)), path)
 
-    finished = _dfs_segment(
-        config.dim,
-        config.n,
-        base,
+    finished = _walk_segment(
+        config,
         state,
-        prune=prune,
         stop_after_nodes=config.stop_after_nodes,
         report_interval=config.report_interval if path is not None else None,
         on_checkpoint=save,
@@ -425,12 +484,11 @@ def _run_sequential(config: SearchConfig, base: list[int], state: dict, *, prune
     return _result_from_state(config, state, time.monotonic() - t0, finished)
 
 
-def _unit_worker(args) -> dict | None:
+def _unit_worker(config: SearchConfig, u: int, seed_best: int) -> dict | None:
     """Walk work unit u; return the exhausted frontier it leaves, or None
     if the walk was interrupted."""
-    dim, n, base, u, seed_best, prune = args
     state = _fresh_state(u)
-    return state if _dfs_segment(dim, n, base, state, prune=prune, end=u + 1, seed_best=seed_best) else None
+    return state if _walk_segment(config, state, end=u + 1, seed_best=seed_best) else None
 
 
 def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: float, complete: bool) -> SearchResult:
@@ -454,16 +512,15 @@ def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: fl
     return _result_from_state(config, state, elapsed, complete)
 
 
-def _units(config: SearchConfig, base: list[int], lo: int) -> list[int]:
+def _units(config: SearchConfig) -> list[int]:
     """The top-level cards that split a parallel walk into work units."""
-    return list(range(lo, 3 ** config.dim - (config.n - len(base)) + 1))
+    size, base, lo, _ = _walk(config)
+    return list(range(lo, 3 ** config.dim - (size - len(base)) + 1))
 
 
-def _run_parallel(
-    config: SearchConfig, base: list[int], lo: int, *, prune: bool, done: dict | None = None
-) -> SearchResult:
+def _run_parallel(config: SearchConfig, done: dict | None = None) -> SearchResult:
     t0 = time.monotonic()
-    units = _units(config, base, lo)
+    units = _units(config)
     done = dict(done or {})
     pending = [u for u in units if str(u) not in done]
     path = config.checkpoint_path
@@ -479,10 +536,7 @@ def _run_parallel(
         def submit_next():
             u = next(it, None)
             if u is not None:
-                fut = pool.submit(
-                    _unit_worker, (config.dim, config.n, base, u, seed, prune)
-                )
-                futures[fut] = u
+                futures[pool.submit(_unit_worker, config, u, seed)] = u
 
         for _ in range(config.threads):
             submit_next()
@@ -529,10 +583,9 @@ def max_sets_naive(config: SearchConfig) -> SearchResult:
             f"budget of {config.naive_budget:.3e}; use the pruned engine instead",
             estimate,
         )
-    base, lo = _base_and_lo(config.n, "naive", False)
     if config.threads > 1:
-        return _run_parallel(config, base, lo, prune=False)
-    return _run_sequential(config, base, _fresh_state(lo), prune=False)
+        return _run_parallel(config)
+    return _run_sequential(config)
 
 
 def max_sets_pruned(config: SearchConfig) -> SearchResult:
@@ -543,10 +596,9 @@ def max_sets_pruned(config: SearchConfig) -> SearchResult:
     """
     if config.mode != "pruned":
         raise ValueError("max_sets_pruned requires mode='pruned'")
-    base, lo = _base_and_lo(config.n, "pruned", config.symmetry)
     if config.threads > 1:
-        return _run_parallel(config, base, lo, prune=True)
-    return _run_sequential(config, base, _fresh_state(lo), prune=True)
+        return _run_parallel(config)
+    return _run_sequential(config)
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -560,24 +612,26 @@ def _is_int(v) -> bool:
 
 
 def _check_witness(config: SearchConfig, witness) -> None:
-    deck = 3 ** config.dim
+    """A saved witness is a board of the walk: size cards (see _walk)."""
     if witness is None:
         return
+    deck = 3 ** config.dim
+    size = _walk(config)[0]
     if (
         not isinstance(witness, list)
-        or len(witness) != config.n
+        or len(witness) != size
         or not all(_is_int(x) and 0 <= x < deck for x in witness)
-        or len(set(witness)) != config.n
+        or len(set(witness)) != size
     ):
         raise CheckpointError(
-            f"checkpoint witness {witness!r} is not {config.n} distinct cards in [0, {deck})"
+            f"checkpoint witness {witness!r} is not {size} distinct cards in [0, {deck})"
         )
 
 
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 
 
-def _check_frontier(config: SearchConfig, base: list[int], lo: int, state, what: str = "state") -> None:
+def _check_frontier(config: SearchConfig, state, what: str = "state") -> None:
     """Reject a saved depth-first frontier that the walk could not have left.
 
     The resumed walk rebuilds its gain array from the stack without
@@ -590,13 +644,14 @@ def _check_frontier(config: SearchConfig, base: list[int], lo: int, state, what:
         if key not in state:
             raise CheckpointError(f"checkpoint {what} is missing field {key!r}")
     deck = 3 ** config.dim
-    need = config.n - len(base)
+    size, base, lo, _ = _walk(config)
+    need = size - len(base)
     stack = state["stack"]
     if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
         raise CheckpointError(f"checkpoint stack {stack!r} is not a list of card ids")
     if len(stack) >= need:
         raise CheckpointError(
-            f"checkpoint stack holds {len(stack)} cards; a board of {config.n} "
+            f"checkpoint stack holds {len(stack)} cards; a walked board of {size} "
             f"over a base of {len(base)} allows at most {need - 1}"
         )
     if any(not lo <= x < deck for x in stack):
@@ -614,17 +669,17 @@ def _check_frontier(config: SearchConfig, base: list[int], lo: int, state, what:
     _check_witness(config, state["witness"])
 
 
-def _check_units(config: SearchConfig, base: list[int], lo: int, done) -> None:
+def _check_units(config: SearchConfig, done) -> None:
     """Reject a `units` checkpoint whose finished units the pool could not
     have saved: each key must name a work unit u of this run and hold the
     exhausted frontier of its walk (empty stack, next card u + 1)."""
     if not isinstance(done, dict):
         raise CheckpointError(f"checkpoint done {done!r} is not a mapping of units")
-    names = {str(u) for u in _units(config, base, lo)}
+    names = {str(u) for u in _units(config)}
     for key, r in done.items():
         if key not in names:
             raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
-        _check_frontier(config, base, lo, r, f"unit {key}")
+        _check_frontier(config, r, f"unit {key}")
         if r["stack"] or r["next_card"] != int(key) + 1:
             raise CheckpointError(
                 f"checkpoint unit {key} is not exhausted: stack {r['stack']!r}, next_card {r['next_card']!r}"
@@ -657,13 +712,11 @@ def resume_search(
         report_interval=report_interval,
         stop_after_nodes=stop_after_nodes,
     )
-    base, lo = _base_and_lo(config.n, config.mode, config.symmetry)
     if cp.kind == "stack":
-        _check_frontier(config, base, lo, cp.state)
-        state = {k: cp.state[k] for k in _FRONTIER_KEYS}
-        return _run_sequential(config, base, state, prune=True)
-    _check_units(config, base, lo, cp.state.get("done"))
-    return _run_parallel(config, base, lo, prune=True, done=cp.state["done"])
+        _check_frontier(config, cp.state)
+        return _run_sequential(config, {k: cp.state[k] for k in _FRONTIER_KEYS})
+    _check_units(config, cp.state.get("done"))
+    return _run_parallel(config, cp.state["done"])
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import io
 import json
 import time
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from setmax import cli, search
 from setmax.counting import Board, count_sets, count_sets_bruteforce, delta_sets
-from setmax.geometry import third_rows
+from setmax.geometry import all_lines, third_rows
 from setmax.search import (
     BudgetExceededError,
     Checkpoint,
@@ -35,26 +37,39 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
     candidates of each level one by one.  Runs to the end, or until
     `stop_at` nodes are counted, and returns the state the engine saves:
     the frontier (stack, next_card) and best, witness, nodes, pruned.
+
+    With `dual`, a pruned row with 3 <= k = 3**dim - n < n is the engine's
+    min-walk over k-card boards: the score starts at L - k r + C(k, 2),
+    each card subtracts the sets it completes, no bound is added, and the
+    witness is the walked board.  Without it every row walks n cards.
     """
     deck = 3 ** dim
+    k = deck - n
+    complement = dual and prune and 3 <= k < n
+    size = k if complement else n
     base = [0, 1] if prune and symmetry else []
-    need = n - len(base)
+    need = size - len(base)
     rows = third_rows(dim)
-    bound = [bound_remaining(s, n) for s in range(n + 1)]
+    if complement:
+        r = (deck - 1) // 2
+        cnt, sign = deck * r // 3 - k * r + comb(k, 2), -1
+        bound = [0] * (size + 1)
+    else:
+        cnt, sign = 0, 1
+        bound = [bound_remaining(s, n) for s in range(n + 1)]
 
     def new_sets(card, chosen, member):
-        return sum(member[rows[card][b]] for b in chosen) >> 1
+        return sign * (sum(member[rows[card][b]] for b in chosen) >> 1)
 
     member = bytearray(deck)
     chosen = []
-    cnt = 0
     for x in base:
         cnt += new_sets(x, chosen, member)
         member[x] = 1
@@ -75,7 +90,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None):
             continue
         ncnt = cnt + new_sets(c, chosen, member)
         nodes += 1
-        if len(chosen) + 1 == n:
+        if len(chosen) + 1 == size:
             if ncnt > best:
                 best, witness = ncnt, chosen + [c]
         elif prune and ncnt + bound[len(chosen) + 1] < best:
@@ -91,8 +106,13 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None):
 
 
 def reference_outcome(dim, n, **kw):
+    """The reference walk's result as `outcome` gives the engine's: a
+    min-walk's witness is the complement of its walked board."""
     st = reference_walk(dim, n, **kw)
-    return (st["best"], st["witness"], st["nodes"], st["pruned"])
+    witness = st["witness"]
+    if len(witness) != n:
+        witness = [x for x in range(3 ** dim) if x not in witness]
+    return (st["best"], witness, st["nodes"], st["pruned"])
 
 
 class TestBoundRemaining:
@@ -124,6 +144,11 @@ class TestConfig:
     def test_naive_refuses_checkpointing(self):
         with pytest.raises(ValueError):
             SearchConfig(dim=3, n=5, mode="naive", checkpoint_path="x.ckpt")
+
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, 2.0, "2", True, None])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            max_sets_pruned(SearchConfig(dim=3, n=10, threads=threads))
 
 
 class TestNaive:
@@ -180,9 +205,13 @@ class TestPruned:
 
 REFERENCE_ROWS = (
     [(2, n) for n in range(3, 10)]
-    + [(3, n) for n in list(range(3, 13)) + list(range(21, 28))]
+    + [(3, n) for n in list(range(3, 13)) + list(range(18, 28))]
     + [(4, n) for n in range(3, 8)]
 )
+
+# The rows of REFERENCE_ROWS the engine answers by a min-walk over the
+# 3**d - n missing cards.
+COMPLEMENT_ROWS = [(d, n) for d, n in REFERENCE_ROWS if 3 <= 3 ** d - n < n]
 
 
 class TestReferenceWalk:
@@ -192,6 +221,12 @@ class TestReferenceWalk:
     @pytest.mark.parametrize("dim,n", REFERENCE_ROWS)
     def test_pruned_row_matches_reference(self, dim, n):
         assert outcome(pruned(dim, n)) == reference_outcome(dim, n)
+
+    @pytest.mark.parametrize("dim,n", COMPLEMENT_ROWS)
+    def test_complement_row_matches_max_walk(self, dim, n):
+        # The reference walk over n-card boards shares no step with the
+        # min-walk but the candidate order.
+        assert reference_walk(dim, n, dual=False)["best"] == pruned(dim, n).max_sets
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_pruned_without_symmetry_matches_reference(self, n):
@@ -210,6 +245,22 @@ class TestReferenceWalk:
         assert (r.max_sets, r.complete) == (1, True)
         assert count_sets(r.witness) == 1
         assert elapsed < 2.0
+
+
+def _fewest_sets(dim, k):
+    """m_d(k) by brute force: the fewest sets on any k-card board."""
+    return min(count_sets(Board(dim, cards)) for cards in combinations(range(3 ** dim), k))
+
+
+@pytest.mark.parametrize("dim,k", [(2, k) for k in range(10)] + [(3, k) for k in range(5)])
+def test_complement_identity(dim, k):
+    # M_d(N - k) = L - k r + C(k, 2) - m_d(k), with the naive engine's
+    # maximum on the left (a board of fewer than 3 cards holds no set).
+    lines = all_lines(dim)
+    r = sum(1 for line in lines if 0 in line)
+    n = 3 ** dim - k
+    top = naive(dim, n).max_sets if n >= 3 else 0
+    assert top == len(lines) - k * r + comb(k, 2) - _fewest_sets(dim, k)
 
 
 def _frontier_kind(dim, n, st):
@@ -299,6 +350,57 @@ class TestParallel:
         ref = pruned(3, 10)
         r = resume_search(path, threads=2)
         assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
+
+class TestComplementRows:
+    """Rows past half the deck through the pool and checkpoints.  d=3
+    n=17 and 18 walk boards of 10 and 9 missing cards."""
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_pool_matches_sequential(self, n):
+        seq = pruned(3, n)
+        par = pruned(3, n, threads=2)
+        assert (par.max_sets, par.witness) == (seq.max_sets, seq.witness)
+        assert len(par.witness) == n and count_sets_bruteforce(par.witness) == par.max_sets
+
+    def test_one_worker_pool_counts_as_sequential(self, tmp_path):
+        path = tmp_path / "units.ckpt"
+        checkpoint_save(Checkpoint(3, 18, "pruned", True, "units", {"done": {}}), path)
+        assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
+
+    def test_stop_and_resume_chain(self, tmp_path):
+        ref = pruned(3, 18)
+        path = tmp_path / "chain.ckpt"
+        r = pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000)
+        assert not r.complete
+        while not r.complete:
+            r = resume_search(path, stop_after_nodes=r.nodes_visited + 20_000)
+        assert outcome(r) == outcome(ref)
+
+    def test_witness_of_the_row_size_rejected(self, tmp_path, capsys):
+        # A saved witness is a walked board of 9 cards, not its complement.
+        path = tmp_path / "stack.ckpt"
+        assert not pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000).complete
+        payload = json.loads(path.read_text())
+        walked = payload["state"]["witness"]
+        assert len(walked) == 9
+        payload["state"]["witness"] = [x for x in range(27) if x not in walked]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="is not 9 distinct cards"):
+            resume_search(path)
+        code = cli.main(["search", "--props", "3", "--cards", "18", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+        assert "is not 9 distinct cards" in capsys.readouterr().err
+
+    def test_version_2_file_refused(self, tmp_path):
+        # Version 2 stack files of these rows hold n-card frontiers.
+        path = tmp_path / "v2.ckpt"
+        checkpoint_save(Checkpoint(3, 18, "pruned", True, "stack", search._fresh_state(2)), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="version"):
+            resume_search(path)
 
 
 class TestCheckpoint:
