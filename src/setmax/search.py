@@ -63,8 +63,16 @@ least that maximum, so strict pruning visits it whatever the shared best
 value does.  The witness is the complement of the first such board in walk
 order, as deterministic as a direct row's.  For these rows nodes and
 prunes count the min-walk, and a saved frontier and witness hold its
-k-card boards; the result's witness is their complement.  _walk is the one
-place that decides which rows walk this way.
+k-card boards; the result's witness is their complement.
+
+_plan is the one place that decides the walk: board size, base, first
+candidate, score offset, gain step and the slack of each level (a
+candidate is pruned iff its score plus that slack is below the best).
+Every checkpoint records the plan, and a file of another plan is refused.
+The naive engine is the plan whose slack is L at every level.  Its offset
+is 0 and its step 1, so every score is at least 0, while no best (nor a
+seed from another unit) exceeds the L lines of the deck: nothing is
+pruned, and the walk visits every n-card board.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from . import geometry
@@ -83,7 +91,7 @@ from .counting import Board, add_to_gain
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
 CHECKPOINT_FORMAT = "setmax-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds", "complete")
 
@@ -125,8 +133,13 @@ class SearchConfig:
             raise ValueError(f"mode must be 'naive' or 'pruned', got {self.mode!r}")
         if not _is_int(self.threads) or self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
-        if self.report_interval <= 0:
-            raise ValueError("report_interval must be positive")
+        interval = self.report_interval
+        if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not interval > 0:
+            raise ValueError(f"report_interval must be a positive number, got {interval!r}")
+        if self.stop_after_nodes is not None and (not _is_int(self.stop_after_nodes) or self.stop_after_nodes < 0):
+            raise ValueError(f"stop_after_nodes must be None or an integer >= 0, got {self.stop_after_nodes!r}")
+        if not _is_int(self.naive_budget) or self.naive_budget < 0:
+            raise ValueError(f"naive_budget must be an integer >= 0, got {self.naive_budget!r}")
         if self.mode == "naive" and self.checkpoint_path is not None:
             raise ValueError("checkpointing is only supported in pruned mode")
 
@@ -174,31 +187,40 @@ def _fresh_state(lo: int) -> dict:
     return {"stack": [], "next_card": lo, "best": -1, "witness": None, "nodes": 0, "pruned": 0}
 
 
-def _walk(config: SearchConfig) -> tuple[int, list[int], int, bool]:
-    """The walk that answers `config`: (size, base, lo, complement).
+@dataclass(frozen=True)
+class _Plan:
+    """The walk of a search, as _plan decides it (see the module docstring)."""
 
-    The walk extends `base` to boards of `size` cards with candidates from
-    `lo` on.  A pruned row with 3 <= k = 3**d - n < n walks the k missing
-    cards (complement is True; see the module docstring), every other row
-    its own n cards.
-    """
+    dim: int
+    size: int
+    base: tuple[int, ...]
+    lo: int
+    offset: int
+    step: int
+    slack: tuple[int, ...]
+
+
+def _plan(config: SearchConfig) -> _Plan:
+    """The walk that answers `config`: a pruned row with 3 <= k = 3**d - n < n
+    walks the k missing cards, every other row its own n cards."""
+    dim, n = config.dim, config.n
     pruned = config.mode == "pruned"
-    k = 3 ** config.dim - config.n
-    complement = pruned and 3 <= k < config.n
-    size = k if complement else config.n
-    if pruned and config.symmetry:
-        return size, [0, 1], 2, complement
-    return size, [], 0, complement
+    base = (0, 1) if pruned and config.symmetry else ()
+    k = 3 ** dim - n
+    if pruned and 3 <= k < n:
+        offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
+        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k)
+    if pruned:
+        slack = tuple(bound_remaining(size + 1, n) for size in range(n))
+    else:
+        slack = (geometry.line_count(dim),) * n
+    return _Plan(dim, n, base, len(base), 0, 1, slack)
 
 
 def _dfs_segment(
-    dim: int,
-    n: int,
-    base: list[int],
+    plan: _Plan,
     state: dict,
     *,
-    prune: bool,
-    complement: bool,
     end: int | None = None,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
@@ -209,14 +231,15 @@ def _dfs_segment(
     exhausted (returns True) or a stop trigger fires (returns False).
 
     The walk extends `base` with cards in strictly increasing order until
-    boards of n cards are reached.  With `complement` it is the min-walk
-    of the module docstring: n is the number of missing cards, the score
-    counts the sets outside the board, and every slack is 0.  `end`, when
+    boards of n cards are reached, where n, base, the score offset, the
+    gain step and the slack of each level are the plan's.  `end`, when
     given, ends the top level (the first card after `base`) before card
     `end`; work unit u is the walk from {stack: [], next_card: u} with end
     u + 1.  `seed_best` only tightens pruning; best/witness in the state
     reflect boards actually visited here, which is what keeps merged
-    parallel results deterministic.
+    parallel results deterministic.  `on_checkpoint` receives the state at
+    every frontier the walk leaves: each report, and its stop, interrupt
+    or end.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk takes
@@ -247,6 +270,7 @@ def _dfs_segment(
     resumed run needs; a frontier inside a level, as the one-by-one walk
     saved it, resumes just as well.
     """
+    dim, n, base = plan.dim, plan.size, plan.base
     deck = 3 ** dim
     base_len = len(base)
     if base_len >= n:
@@ -258,18 +282,7 @@ def _dfs_segment(
     pruned = state["pruned"]
 
     rows = geometry.third_rows(dim)
-
-    # The score of the empty board, the gain step and, indexed by the size
-    # of the chosen board, the most sets any completion can still add once
-    # a candidate has joined.
-    if complement:
-        cnt = geometry.line_count(dim) - n * geometry.lines_per_card(dim) + comb(n, 2)
-        step = -1
-        slack_at = [0] * n
-    else:
-        cnt = 0
-        step = 1
-        slack_at = [bound_remaining(size + 1, n) for size in range(n)]
+    cnt, step, slack_at = plan.offset, plan.step, plan.slack
 
     gain = [0] * deck
     chosen = []
@@ -301,11 +314,14 @@ def _dfs_segment(
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
     next_report = time.monotonic() + report_interval if report_interval else None
 
-    def _sync():
+    def _leave():
         state.update(
             stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
         )
+        if on_checkpoint is not None:
+            on_checkpoint(state)
 
+    finished = False
     try:
         while True:
             if nodes >= next_check:
@@ -313,14 +329,9 @@ def _dfs_segment(
                 # processed, so a resumed run recounts nothing.
                 next_check = nodes + _PROGRESS_EVERY
                 if stop_after_nodes is not None and nodes >= stop_after_nodes:
-                    _sync()
-                    if on_checkpoint is not None:
-                        on_checkpoint(state)
-                    return False
+                    break
                 if next_report is not None and time.monotonic() >= next_report:
-                    _sync()
-                    if on_checkpoint is not None:
-                        on_checkpoint(state)
+                    _leave()
                     next_report = time.monotonic() + report_interval
 
             size = len(chosen)
@@ -335,7 +346,7 @@ def _dfs_segment(
                             best_eff = best
                     nodes += limit - c
                     c = limit
-            elif prune and c < limit:
+            elif c < limit:
                 # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
                 floor = best_eff - slack_at[size] - cnt
                 if gain[c] < floor:
@@ -351,6 +362,7 @@ def _dfs_segment(
 
             if c >= limit:
                 if size == base_len:
+                    finished = True
                     break
                 gain = gain_stack.pop()
                 cnt = cnt_stack.pop()
@@ -365,13 +377,9 @@ def _dfs_segment(
             add_to_gain(gain, chosen, c, rows, step)
             c += 1
     except KeyboardInterrupt:
-        _sync()
-        if on_checkpoint is not None:
-            on_checkpoint(state)
-        return False
-
-    _sync()
-    return True
+        pass
+    _leave()
+    return finished
 
 
 def _checkpoint_for(config: SearchConfig, kind: str, state: dict) -> Checkpoint:
@@ -383,10 +391,12 @@ def _checkpoint_for(config: SearchConfig, kind: str, state: dict) -> Checkpoint:
 def checkpoint_save(cp: Checkpoint, path) -> None:
     """Write a checkpoint atomically and durably (JSON, versioned): the data
     reaches the disk before the rename makes it the checkpoint."""
+    plan = _plan(SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry))
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": {"dim": cp.dim, "n": cp.n, "mode": cp.mode, "symmetry": cp.symmetry},
+        "plan": asdict(plan),
         "kind": cp.kind,
         "state": cp.state,
     }
@@ -399,7 +409,8 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
 
 
 def checkpoint_load(path) -> Checkpoint:
-    """Read a checkpoint naming a valid pruned search (else CheckpointError)."""
+    """Read a checkpoint naming a valid pruned search whose plan is the one
+    this build would run (else CheckpointError)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
@@ -433,15 +444,25 @@ def checkpoint_load(path) -> Checkpoint:
     if not isinstance(cp.symmetry, bool):
         raise CheckpointError(f"checkpoint symmetry {cp.symmetry!r} is not a boolean")
     try:
-        SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry, checkpoint_path=str(path))
+        config = SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry, checkpoint_path=str(path))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} describes no valid search: {exc}") from exc
+    saved = payload.get("plan")
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"checkpoint {path} records no walk plan")
+    # JSON holds the plan's tuples as lists.
+    want = json.loads(json.dumps(asdict(_plan(config))))
+    differ = sorted(k for k in want.keys() | saved.keys() if want.get(k) != saved.get(k))
+    if differ:
+        raise CheckpointError(
+            f"checkpoint {path} was written by another walk plan; fields that differ: {', '.join(differ)}"
+        )
     return cp
 
 
 def _result_from_state(config: SearchConfig, state: dict, elapsed: float, complete: bool) -> SearchResult:
     witness = state["witness"]
-    if witness is not None and _walk(config)[3]:
+    if witness is not None and _plan(config).size != config.n:
         walked = set(witness)
         witness = [x for x in range(3 ** config.dim) if x not in walked]
     return SearchResult(
@@ -454,41 +475,32 @@ def _result_from_state(config: SearchConfig, state: dict, elapsed: float, comple
     )
 
 
-def _walk_segment(config: SearchConfig, state: dict, **kw) -> bool:
-    """Advance the walk that answers `config` (see _walk and _dfs_segment)."""
-    size, base, _, complement = _walk(config)
-    return _dfs_segment(
-        config.dim, size, base, state, prune=config.mode == "pruned", complement=complement, **kw
-    )
-
-
 def _run_sequential(config: SearchConfig, state: dict | None = None) -> SearchResult:
     t0 = time.monotonic()
+    plan = _plan(config)
     path = config.checkpoint_path
     if state is None:
-        state = _fresh_state(_walk(config)[2])
+        state = _fresh_state(plan.lo)
 
     def save(st):
         if path is not None:
             checkpoint_save(_checkpoint_for(config, "stack", dict(st)), path)
 
-    finished = _walk_segment(
-        config,
+    finished = _dfs_segment(
+        plan,
         state,
         stop_after_nodes=config.stop_after_nodes,
         report_interval=config.report_interval if path is not None else None,
         on_checkpoint=save,
     )
-    if finished:
-        save(state)
     return _result_from_state(config, state, time.monotonic() - t0, finished)
 
 
-def _unit_worker(config: SearchConfig, u: int, seed_best: int) -> dict | None:
+def _unit_worker(plan: _Plan, u: int, seed_best: int) -> dict | None:
     """Walk work unit u; return the exhausted frontier it leaves, or None
     if the walk was interrupted."""
     state = _fresh_state(u)
-    return state if _walk_segment(config, state, end=u + 1, seed_best=seed_best) else None
+    return state if _dfs_segment(plan, state, end=u + 1, seed_best=seed_best) else None
 
 
 def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: float, complete: bool) -> SearchResult:
@@ -512,15 +524,15 @@ def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: fl
     return _result_from_state(config, state, elapsed, complete)
 
 
-def _units(config: SearchConfig) -> list[int]:
+def _units(plan: _Plan) -> list[int]:
     """The top-level cards that split a parallel walk into work units."""
-    size, base, lo, _ = _walk(config)
-    return list(range(lo, 3 ** config.dim - (size - len(base)) + 1))
+    return list(range(plan.lo, 3 ** plan.dim - (plan.size - len(plan.base)) + 1))
 
 
 def _run_parallel(config: SearchConfig, done: dict | None = None) -> SearchResult:
     t0 = time.monotonic()
-    units = _units(config)
+    plan = _plan(config)
+    units = _units(plan)
     done = dict(done or {})
     pending = [u for u in units if str(u) not in done]
     path = config.checkpoint_path
@@ -536,7 +548,7 @@ def _run_parallel(config: SearchConfig, done: dict | None = None) -> SearchResul
         def submit_next():
             u = next(it, None)
             if u is not None:
-                futures[pool.submit(_unit_worker, config, u, seed)] = u
+                futures[pool.submit(_unit_worker, plan, u, seed)] = u
 
         for _ in range(config.threads):
             submit_next()
@@ -568,6 +580,12 @@ def _run_parallel(config: SearchConfig, done: dict | None = None) -> SearchResul
     return _merge_units(config, units, done, time.monotonic() - t0, complete)
 
 
+def _run(config: SearchConfig) -> SearchResult:
+    if config.threads > 1:
+        return _run_parallel(config)
+    return _run_sequential(config)
+
+
 def max_sets_naive(config: SearchConfig) -> SearchResult:
     """Exact maximum by enumerating every n-card board in lexicographic order.
 
@@ -583,9 +601,7 @@ def max_sets_naive(config: SearchConfig) -> SearchResult:
             f"budget of {config.naive_budget:.3e}; use the pruned engine instead",
             estimate,
         )
-    if config.threads > 1:
-        return _run_parallel(config)
-    return _run_sequential(config)
+    return _run(config)
 
 
 def max_sets_pruned(config: SearchConfig) -> SearchResult:
@@ -596,9 +612,7 @@ def max_sets_pruned(config: SearchConfig) -> SearchResult:
     """
     if config.mode != "pruned":
         raise ValueError("max_sets_pruned requires mode='pruned'")
-    if config.threads > 1:
-        return _run_parallel(config)
-    return _run_sequential(config)
+    return _run(config)
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -611,12 +625,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_witness(config: SearchConfig, witness) -> None:
-    """A saved witness is a board of the walk: size cards (see _walk)."""
+def _check_witness(plan: _Plan, witness) -> None:
+    """A saved witness is a board of the walk: plan.size cards."""
     if witness is None:
         return
-    deck = 3 ** config.dim
-    size = _walk(config)[0]
+    deck = 3 ** plan.dim
+    size = plan.size
     if (
         not isinstance(witness, list)
         or len(witness) != size
@@ -631,7 +645,7 @@ def _check_witness(config: SearchConfig, witness) -> None:
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 
 
-def _check_frontier(config: SearchConfig, state, what: str = "state") -> None:
+def _check_frontier(plan: _Plan, state, what: str = "state") -> None:
     """Reject a saved depth-first frontier that the walk could not have left.
 
     The resumed walk rebuilds its gain array from the stack without
@@ -643,8 +657,8 @@ def _check_frontier(config: SearchConfig, state, what: str = "state") -> None:
     for key in _FRONTIER_KEYS:
         if key not in state:
             raise CheckpointError(f"checkpoint {what} is missing field {key!r}")
-    deck = 3 ** config.dim
-    size, base, lo, _ = _walk(config)
+    deck = 3 ** plan.dim
+    size, base, lo = plan.size, plan.base, plan.lo
     need = size - len(base)
     stack = state["stack"]
     if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
@@ -666,20 +680,20 @@ def _check_frontier(config: SearchConfig, state, what: str = "state") -> None:
     for key in ("best", "nodes", "pruned"):
         if not _is_int(state[key]):
             raise CheckpointError(f"checkpoint {key} {state[key]!r} is not an integer")
-    _check_witness(config, state["witness"])
+    _check_witness(plan, state["witness"])
 
 
-def _check_units(config: SearchConfig, done) -> None:
+def _check_units(plan: _Plan, done) -> None:
     """Reject a `units` checkpoint whose finished units the pool could not
     have saved: each key must name a work unit u of this run and hold the
     exhausted frontier of its walk (empty stack, next card u + 1)."""
     if not isinstance(done, dict):
         raise CheckpointError(f"checkpoint done {done!r} is not a mapping of units")
-    names = {str(u) for u in _units(config)}
+    names = {str(u) for u in _units(plan)}
     for key, r in done.items():
         if key not in names:
             raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
-        _check_frontier(config, r, f"unit {key}")
+        _check_frontier(plan, r, f"unit {key}")
         if r["stack"] or r["next_card"] != int(key) + 1:
             raise CheckpointError(
                 f"checkpoint unit {key} is not exhausted: stack {r['stack']!r}, next_card {r['next_card']!r}"
@@ -712,10 +726,11 @@ def resume_search(
         report_interval=report_interval,
         stop_after_nodes=stop_after_nodes,
     )
+    plan = _plan(config)
     if cp.kind == "stack":
-        _check_frontier(config, cp.state)
+        _check_frontier(plan, cp.state)
         return _run_sequential(config, {k: cp.state[k] for k in _FRONTIER_KEYS})
-    _check_units(config, cp.state.get("done"))
+    _check_units(plan, cp.state.get("done"))
     return _run_parallel(config, cp.state["done"])
 
 
@@ -736,7 +751,6 @@ def run_table(
     out=None,
     *,
     threads: int = 1,
-    symmetry: bool = True,
 ) -> list[TableRow]:
     """Maximum set counts for every board size in [n_from, n_to].
 
@@ -756,7 +770,7 @@ def run_table(
             out.flush()
     rows = []
     for n in range(n_from, n_to + 1):
-        config = SearchConfig(dim=dim, n=n, mode="pruned", symmetry=symmetry, threads=threads)
+        config = SearchConfig(dim=dim, n=n, mode="pruned", threads=threads)
         result = max_sets_pruned(config)
         row = TableRow(
             n=n,

@@ -150,6 +150,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="threads"):
             max_sets_pruned(SearchConfig(dim=3, n=10, threads=threads))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("stop_after_nodes", v) for v in (-5, "5", 5.0, True)]
+        + [("report_interval", v) for v in (0, -1.5, "x", None, True, float("nan"))]
+        + [("naive_budget", v) for v in (-1, "x", 1.5, None, True)],
+    )
+    def test_numeric_inputs_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(dim=3, n=10, mode="naive", **{field: value})
+
+    def test_numeric_inputs_accepted(self):
+        SearchConfig(dim=3, n=10, stop_after_nodes=0, report_interval=1, naive_budget=0)
+        SearchConfig(dim=3, n=10, stop_after_nodes=None, report_interval=0.5)
+
+    def test_negative_stop_cli_exit_code(self, capsys):
+        code = cli.main(["search", "--props", "3", "--cards", "10", "--stop-after-nodes", "-5"])
+        assert code == cli.EXIT_PARSE == 2
+        assert "stop_after_nodes" in capsys.readouterr().err
+
 
 class TestNaive:
     def test_d3_n4(self):
@@ -335,10 +354,10 @@ class TestParallel:
         # KeyboardInterrupt does.
         walk = search._dfs_segment
 
-        def stop_unit_2(dim, n, base, state, **kw):
+        def stop_unit_2(plan, state, **kw):
             if kw.get("end") == 3:
                 kw["stop_after_nodes"] = 1
-            return walk(dim, n, base, state, **kw)
+            return walk(plan, state, **kw)
 
         monkeypatch.setattr(search, "_dfs_segment", stop_unit_2)
         path = tmp_path / "units.ckpt"
@@ -393,13 +412,15 @@ class TestComplementRows:
         assert "is not 9 distinct cards" in capsys.readouterr().err
 
     def test_version_2_file_refused(self, tmp_path):
-        # Version 2 stack files of these rows hold n-card frontiers.
+        # A version 2 build walked the 18 cards of this row itself: its
+        # plan, had it recorded one, would have size 18, not 9.
         path = tmp_path / "v2.ckpt"
         checkpoint_save(Checkpoint(3, 18, "pruned", True, "stack", search._fresh_state(2)), path)
         payload = json.loads(path.read_text())
-        payload["version"] = 2
+        assert payload["plan"]["size"] == 9
+        payload["plan"]["size"] = 18
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match="plan; fields that differ: size$"):
             resume_search(path)
 
 
@@ -516,6 +537,14 @@ BAD_FILES = {
     "kind is finished": (lambda p: p.update(kind="finished"), "kind"),
     "stack state lacks pruned": (lambda p: p["state"].pop("pruned"), "pruned"),
     "units state lacks done": (lambda p: p.update(kind="units"), "done"),
+    "plan missing": (lambda p: p.pop("plan"), "records no walk plan"),
+    # A version 2 build walked the n cards of the complement row n=18.
+    "plan walks the n cards of a complement row": (
+        lambda p: (p["config"].update(n=18), p["plan"].update(size=18)),
+        "plan; fields that differ: offset, size, slack, step",
+    ),
+    "plan base edited": (lambda p: p["plan"].update(base=[0, 2]), "plan; fields that differ: base"),
+    "plan slack edited": (lambda p: p["plan"]["slack"].__setitem__(3, 0), "plan; fields that differ: slack"),
 }
 
 
