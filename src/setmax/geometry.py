@@ -16,10 +16,16 @@ from dataclasses import dataclass
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8
 
-# Largest dimension for which third_rows builds the full pairwise table;
-# above this the table would not fit comfortably in memory, so its rows
-# compute each entry digit-wise when it is read.
+# Largest dimension for which third_rows builds the full pairwise table.
+# A built table is 3**d lists of 3**d pointers to 3**d shared card ints:
+# 4.3 MB at d=6, but 38 MB at d=7 and 344 MB at d=8, so above this each
+# row is composed from two smaller built tables (see _ThirdRow).
 TABLE_MAX_DIM = 6
+
+# A composed row reads the low _LOW_DIM digits of its entries from
+# third_rows(_LOW_DIM), whose deck has _LOW_DECK cards.
+_LOW_DIM = 4
+_LOW_DECK = 3 ** _LOW_DIM
 
 
 class DegeneratePairError(ValueError):
@@ -108,17 +114,60 @@ def third_card(a: int, b: int, d: int) -> int:
 
 
 class _ThirdRow:
-    """Row a of the third-card table above TABLE_MAX_DIM: row[b] is
-    third_value(a, b, d), computed when it is read."""
+    """Row a of the third-card table above TABLE_MAX_DIM, composed from the
+    built tables of d - _LOW_DIM and _LOW_DIM digits.
 
-    __slots__ = ("a", "d")
+    Split every card x as x = x_hi * 81 + x_lo, where x_lo holds the four
+    low base-3 digits and x_hi the d - 4 high ones.  The third card is
+    taken digit by digit, so its low four digits depend only on a_lo and
+    b_lo and its high digits only on a_hi and b_hi:
+
+        third(a, b, d) = third(a_hi, b_hi, d - 4) * 81 + third(a_lo, b_lo, 4).
+
+    The row keeps row a_hi of third_rows(d - 4) and row a_lo of
+    third_rows(4), both built tables because d - 4 <= 4 <= TABLE_MAX_DIM,
+    so row[b] costs two list reads and no digit loop.
+    """
+
+    __slots__ = ("hi", "lo")
 
     def __init__(self, a: int, d: int):
-        self.a = a
-        self.d = d
+        self.hi = third_rows(d - _LOW_DIM)[a // _LOW_DECK]
+        self.lo = third_rows(_LOW_DIM)[a % _LOW_DECK]
 
     def __getitem__(self, b: int) -> int:
-        return third_value(self.a, b, self.d)
+        return self.hi[b // _LOW_DECK] * _LOW_DECK + self.lo[b % _LOW_DECK]
+
+
+@functools.lru_cache(maxsize=None)
+def _built_rows(d: int) -> list[list[int]]:
+    """The full third-card table of d digits (d >= 0), by digit recursion.
+
+    Split every card x as x = 3 * x' + x0, with x0 its lowest digit.  The
+    third card is taken digit by digit, so appending a low digit to a and
+    to b appends the third of those two digits to their third card:
+
+        third(a, b, d) = 3 * third(a', b', d - 1) + (-(a0 + b0)) % 3.
+
+    The cards b = 3 * b' + b0 run through b' in order and, within each b',
+    through b0 = 0, 1, 2.  So row a is row a' of the d - 1 table with each
+    entry p replaced by the three cards 3p + (-(a0 + b0)) % 3, b0 = 0, 1, 2;
+    those triples depend only on a0 and p and are built once.  Every entry
+    is taken from one list of the 3**d card ints, so the table holds one
+    int object per card.
+    """
+    if d == 0:
+        return [[0]]
+    prev = _built_rows(d - 1)
+    cards = list(range(3 ** d))
+    triples = [
+        [tuple(cards[3 * p + (-(a0 + b0)) % 3] for b0 in range(3)) for p in range(len(prev))]
+        for a0 in range(3)
+    ]
+    return [
+        list(itertools.chain.from_iterable(map(triples[a % 3].__getitem__, prev[a // 3])))
+        for a in range(len(cards))
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,16 +175,16 @@ def third_rows(d: int) -> list:
     """Rows of the third-card table: rows[a][b] == third_value(a, b, d)
     (the diagonal is a itself), for every supported d.
 
-    Up to TABLE_MAX_DIM every row is a built list of ints; above it each
-    row computes its entries digit-wise on demand, so the table costs one
+    Up to TABLE_MAX_DIM every row is a list built by _built_rows, whose
+    entries are shared card ints; above it every row is a _ThirdRow that
+    composes its entries from two built tables, so the table costs one
     small object per card.  The rows are shared with every caller, so
     treat them as read-only.
     """
     check_dimension(d)
-    n = 3 ** d
     if d > TABLE_MAX_DIM:
-        return [_ThirdRow(a, d) for a in range(n)]
-    return [[third_value(a, b, d) for b in range(n)] for a in range(n)]
+        return [_ThirdRow(a, d) for a in range(3 ** d)]
+    return _built_rows(d)
 
 
 def is_line(a: int, b: int, c: int, d: int) -> bool:

@@ -83,6 +83,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from math import comb
 
 from . import geometry
@@ -211,7 +212,8 @@ def _plan(config: SearchConfig) -> _Plan:
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
         return _Plan(dim, k, base, len(base), offset, -1, (0,) * k)
     if pruned:
-        slack = tuple(bound_remaining(size + 1, n) for size in range(n))
+        # slack[size] = bound_remaining(size + 1, n), as a suffix sum.
+        slack = tuple(accumulate((m // 2 for m in range(n - 1, 0, -1)), initial=0))[::-1]
     else:
         slack = (geometry.line_count(dim),) * n
     return _Plan(dim, n, base, len(base), 0, 1, slack)

@@ -19,6 +19,8 @@ from setmax.geometry import (
     is_line,
     span_flat,
     third_card,
+    third_rows,
+    third_value,
 )
 
 
@@ -103,6 +105,34 @@ class TestThirdCard:
                 assert third_card(b, a, d) == t
                 assert third_card(a, t, d) == b
                 assert is_line(a, b, t, d)
+
+
+class TestThirdRows:
+    # Every row up to d=5, every 7th row at d=6.
+    @pytest.mark.parametrize("d,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 7)])
+    def test_built_rows_match_third_value(self, d, step):
+        rows = third_rows(d)
+        deck = 3 ** d
+        assert len(rows) == deck
+        for a in range(0, deck, step):
+            assert rows[a] == [third_value(a, b, d) for b in range(deck)]
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_composed_rows_match_third_value(self, d):
+        rows = third_rows(d)
+        deck = 3 ** d
+        assert len(rows) == deck
+        rng = random.Random(d)
+        for _ in range(5000):
+            a, b = rng.randrange(deck), rng.randrange(deck)
+            assert rows[a][b] == third_value(a, b, d)
+        for a in (0, 1, 80, 81, deck // 2, deck - 1):
+            assert [rows[a][b] for b in range(deck)] == [third_value(a, b, d) for b in range(deck)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_built_table_shares_one_int_per_card(self, d):
+        rows = third_rows(d)
+        assert len({id(x) for row in rows for x in row}) == 3 ** d
 
 
 class TestIsLine:

@@ -86,9 +86,10 @@ class TestAgainstReference:
         assert got == reference_cmm(dim)
 
     def test_d7_prefixes_recount(self):
-        # d=7 is above the built pair table.  list_sets completes each pair
-        # digit by digit and never touches add_to_gain, so it is an oracle
-        # independent of the trace's gain array.
+        # d=7 is above the built pair table.  The trace reads rows composed
+        # of two built tables; list_sets completes each pair digit by digit
+        # and shares no code with those tables or with add_to_gain, so it is
+        # an independent oracle.
         trace = cmm_run(7, upto=60)
         assert len(trace.turns) == 60
         for i, t in enumerate(trace.turns, start=1):

@@ -129,6 +129,12 @@ class TestBoundRemaining:
         with pytest.raises(ValueError):
             bound_remaining(8, 7)
 
+    @pytest.mark.parametrize("dim,top", [(3, 13), (5, 39)])
+    def test_plan_slack_is_bound_remaining(self, dim, top):
+        for n in range(3, top + 1):
+            slack = search._plan(SearchConfig(dim=dim, n=n)).slack
+            assert slack == tuple(bound_remaining(size + 1, n) for size in range(n))
+
 
 class TestConfig:
     def test_board_size_range(self):
@@ -256,8 +262,8 @@ class TestReferenceWalk:
         assert outcome(naive(3, n)) == reference_outcome(3, n, symmetry=False, prune=False)
 
     def test_d7_takes_only_the_thirds_it_needs(self):
-        # d=7 is above the built pair table: a push computes its few
-        # thirds digit-wise instead of reading a full row.
+        # d=7 is above the built pair table: a push reads its few thirds
+        # from rows composed of two smaller built tables.
         t0 = time.monotonic()
         r = pruned(7, 4)
         elapsed = time.monotonic() - t0
