@@ -134,13 +134,14 @@ def _cmd_search(args) -> int:
                 print("--resume requires --checkpoint", file=sys.stderr)
                 return EXIT_PARSE
             cp = search.checkpoint_load(args.checkpoint)
-            result = search.resume_search(
+            result = search.resume_checkpoint(
+                cp,
                 args.checkpoint,
                 threads=threads,
                 stop_after_nodes=args.stop_after_nodes,
                 report_interval=args.report_interval,
             )
-            symmetry = cp.mode == "pruned" and cp.symmetry
+            symmetry = cp.symmetry
         else:
             config = search.SearchConfig(
                 dim=args.props,

@@ -26,19 +26,16 @@ witness independent of worker scheduling; the node and prune counters of a
 parallel run are not, because each unit prunes against the best value
 known when it starts.
 
-The frontier of the depth-first walk is a stack of cards plus the next
-candidate at the current level; checkpoints serialize exactly that, and a
-resumed run rebuilds the gain array from it, so it continues the identical
-traversal.  A finished walk saves its exhausted frontier: an empty stack
-whose next card ends the top level.
-
-Parallel runs split the same walk at its top level.  Work unit u is the
-walk over the same base from the frontier {stack: [], next_card: u} whose
-top level ends at u + 1: card u itself, then its subtree.  The units of a
-run are its top-level cards, so their counters add up to the sequential
-walk's, and a one-worker pool, which seeds each unit with the best of the
-units before it, counts exactly as the sequential walk does.  A parallel
-checkpoint maps each finished unit to the exhausted frontier its walk left.
+Every run splits the walk at its top level.  Work unit u is the walk
+from the frontier {stack: [], next_card: u} whose top level ends at
+u + 1: card u itself, then its subtree.  One worker walks the units in
+order in its own process, each seeded with the best of the units before
+it, so it counts exactly as the whole walk; more workers run them in a
+process pool.  A unit's frontier is a stack of cards, which starts at u,
+plus the next candidate at the current level; an empty stack has next
+card u (not begun) or u + 1 (exhausted).  A checkpoint maps each started
+unit to its frontier, from which a resumed run rebuilds the gain array
+and continues the identical traversal, at any worker count.
 
 Rows past half the deck are answered by their complements.  Let N = 3**d,
 r = (N - 1) / 2 (the lines through a card) and L = N * r / 3 (all lines).
@@ -80,6 +77,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -92,7 +90,7 @@ from .counting import Board, add_to_gain
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
 CHECKPOINT_FORMAT = "setmax-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds", "complete")
 
@@ -161,8 +159,7 @@ class Checkpoint:
     n: int
     mode: str
     symmetry: bool
-    kind: str  # "stack" or "units"
-    state: dict
+    units: dict  # str(u) -> the frontier of work unit u's walk
 
 
 def bound_remaining(current_size: int, target_n: int) -> int:
@@ -184,8 +181,8 @@ def search_space(dim: int, n: int) -> int:
     return comb(3 ** geometry.check_dimension(dim), n) * comb(n, 3)
 
 
-def _fresh_state(lo: int) -> dict:
-    return {"stack": [], "next_card": lo, "best": -1, "witness": None, "nodes": 0, "pruned": 0}
+def _fresh_state(u: int) -> dict:
+    return {"stack": [], "next_card": u, "best": -1, "witness": None, "nodes": 0, "pruned": 0}
 
 
 @dataclass(frozen=True)
@@ -223,25 +220,25 @@ def _dfs_segment(
     plan: _Plan,
     state: dict,
     *,
-    end: int | None = None,
+    end: int,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
-    report_interval: float | None = None,
-    on_checkpoint=None,
+    on_progress=None,
 ) -> bool:
     """Advance the depth-first walk described by `state` until the subtree is
     exhausted (returns True) or a stop trigger fires (returns False).
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
-    gain step and the slack of each level are the plan's.  `end`, when
-    given, ends the top level (the first card after `base`) before card
-    `end`; work unit u is the walk from {stack: [], next_card: u} with end
-    u + 1.  `seed_best` only tightens pruning; best/witness in the state
-    reflect boards actually visited here, which is what keeps merged
-    parallel results deterministic.  `on_checkpoint` receives the state at
-    every frontier the walk leaves: each report, and its stop, interrupt
-    or end.
+    gain step and the slack of each level are the plan's.  `end` ends the
+    top level (the first card after `base`) before card `end`; work unit u
+    is the walk from {stack: [], next_card: u} with end u + 1.  `seed_best`
+    only tightens pruning; best/witness in the state reflect boards
+    actually visited here, which is what keeps merged parallel results
+    deterministic.  The walk leaves its frontier in `state` at every stop
+    check (then calls `on_progress`, when given) and when it stops or
+    ends.  A KeyboardInterrupt, which can land inside a step, propagates
+    with `state` at the frontier of the last check.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk takes
@@ -264,13 +261,12 @@ def _dfs_segment(
       one node and one prune.  When cnt + max(gain[c:limit]) + bound <
       best_eff, the run lasts to the end of the level.
 
-    The stop and report triggers are checked between steps, once the node
-    counter has grown by _PROGRESS_EVERY since the last check.  One step
-    adds at most the candidates of one level, so a stop overshoots
-    stop_after_nodes by less than one level's candidates beyond that
-    check.  The saved frontier is always a step boundary, which is all a
-    resumed run needs; a frontier inside a level, as the one-by-one walk
-    saved it, resumes just as well.
+    The stop trigger is checked between steps, once the node counter has
+    grown by _PROGRESS_EVERY since the last check.  One step adds at most
+    the candidates of one level, so a stop overshoots stop_after_nodes by
+    less than one level's candidates beyond that check.  The saved frontier
+    is always a step boundary, which is all a resumed run needs; a frontier
+    inside a level, as the one-by-one walk saved it, resumes just as well.
     """
     dim, n, base = plan.dim, plan.size, plan.base
     deck = 3 ** dim
@@ -310,84 +306,71 @@ def _dfs_segment(
     # come, indexed by the size of the chosen board.
     leaf = n - 1
     limit_at = [deck - (leaf - size) for size in range(n)]
-    if end is not None:
-        limit_at[base_len] = min(limit_at[base_len], end)
+    limit_at[base_len] = min(limit_at[base_len], end)
 
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
-    next_report = time.monotonic() + report_interval if report_interval else None
 
     def _leave():
         state.update(
             stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
         )
-        if on_checkpoint is not None:
-            on_checkpoint(state)
 
     finished = False
-    try:
-        while True:
-            if nodes >= next_check:
-                # The frontier (stack, c) is saved before candidate c is
-                # processed, so a resumed run recounts nothing.
-                next_check = nodes + _PROGRESS_EVERY
-                if stop_after_nodes is not None and nodes >= stop_after_nodes:
-                    break
-                if next_report is not None and time.monotonic() >= next_report:
-                    _leave()
-                    next_report = time.monotonic() + report_interval
+    while True:
+        if nodes >= next_check:
+            # The frontier (stack, c) is saved before candidate c is
+            # processed, so a resumed run recounts nothing.
+            next_check = nodes + _PROGRESS_EVERY
+            if stop_after_nodes is not None and nodes >= stop_after_nodes:
+                break
+            _leave()
+            if on_progress is not None:
+                on_progress()
 
-            size = len(chosen)
-            limit = limit_at[size]
-            if size == leaf:
-                if c < limit:
-                    top = max(gain[c:limit])
-                    if cnt + top > best:
-                        best = cnt + top
-                        witness = chosen + [gain.index(top, c)]
-                        if best > best_eff:
-                            best_eff = best
-                    nodes += limit - c
+        size = len(chosen)
+        limit = limit_at[size]
+        if size == leaf:
+            if c < limit:
+                top = max(gain[c:limit])
+                if cnt + top > best:
+                    best = cnt + top
+                    witness = chosen + [gain.index(top, c)]
+                    if best > best_eff:
+                        best_eff = best
+                nodes += limit - c
+                c = limit
+        elif c < limit:
+            # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
+            floor = best_eff - slack_at[size] - cnt
+            if gain[c] < floor:
+                start = c
+                if max(gain[c:limit]) < floor:
                     c = limit
-            elif c < limit:
-                # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
-                floor = best_eff - slack_at[size] - cnt
-                if gain[c] < floor:
-                    start = c
-                    if max(gain[c:limit]) < floor:
-                        c = limit
-                    else:
+                else:
+                    c += 1
+                    while gain[c] < floor:
                         c += 1
-                        while gain[c] < floor:
-                            c += 1
-                    nodes += c - start
-                    pruned += c - start
+                nodes += c - start
+                pruned += c - start
 
-            if c >= limit:
-                if size == base_len:
-                    finished = True
-                    break
-                gain = gain_stack.pop()
-                cnt = cnt_stack.pop()
-                c = chosen.pop() + 1
-                continue
+        if c >= limit:
+            if size == base_len:
+                finished = True
+                break
+            gain = gain_stack.pop()
+            cnt = cnt_stack.pop()
+            c = chosen.pop() + 1
+            continue
 
-            nodes += 1
-            gain_stack.append(gain)
-            cnt_stack.append(cnt)
-            cnt += gain[c]
-            gain = gain.copy()
-            add_to_gain(gain, chosen, c, rows, step)
-            c += 1
-    except KeyboardInterrupt:
-        pass
+        nodes += 1
+        gain_stack.append(gain)
+        cnt_stack.append(cnt)
+        cnt += gain[c]
+        gain = gain.copy()
+        add_to_gain(gain, chosen, c, rows, step)
+        c += 1
     _leave()
     return finished
-
-
-def _checkpoint_for(config: SearchConfig, kind: str, state: dict) -> Checkpoint:
-    return Checkpoint(
-        dim=config.dim, n=config.n, mode=config.mode, symmetry=config.symmetry, kind=kind, state=state
-    )
 
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
@@ -399,8 +382,7 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
         "version": CHECKPOINT_VERSION,
         "config": {"dim": cp.dim, "n": cp.n, "mode": cp.mode, "symmetry": cp.symmetry},
         "plan": asdict(plan),
-        "kind": cp.kind,
-        "state": cp.state,
+        "units": cp.units,
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -412,7 +394,8 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
 
 def checkpoint_load(path) -> Checkpoint:
     """Read a checkpoint naming a valid pruned search whose plan is the one
-    this build would run (else CheckpointError)."""
+    this build would run, and whose every unit holds a frontier that unit's
+    walk could have left (else CheckpointError)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
@@ -434,15 +417,10 @@ def checkpoint_load(path) -> Checkpoint:
             n=cfg["n"],
             mode=cfg["mode"],
             symmetry=cfg["symmetry"],
-            kind=payload["kind"],
-            state=payload["state"],
+            units=payload["units"],
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} is missing field {exc}") from exc
-    if cp.kind not in ("stack", "units"):
-        raise CheckpointError(f"unknown checkpoint kind {cp.kind!r}")
-    if not isinstance(cp.state, dict):
-        raise CheckpointError(f"checkpoint state {cp.state!r} is not a mapping")
     if not isinstance(cp.symmetry, bool):
         raise CheckpointError(f"checkpoint symmetry {cp.symmetry!r} is not a boolean")
     try:
@@ -452,60 +430,43 @@ def checkpoint_load(path) -> Checkpoint:
     saved = payload.get("plan")
     if not isinstance(saved, dict):
         raise CheckpointError(f"checkpoint {path} records no walk plan")
+    plan = _plan(config)
     # JSON holds the plan's tuples as lists.
-    want = json.loads(json.dumps(asdict(_plan(config))))
+    want = json.loads(json.dumps(asdict(plan)))
     differ = sorted(k for k in want.keys() | saved.keys() if want.get(k) != saved.get(k))
     if differ:
         raise CheckpointError(
             f"checkpoint {path} was written by another walk plan; fields that differ: {', '.join(differ)}"
         )
+    _check_units(plan, cp.units)
     return cp
 
 
-def _result_from_state(config: SearchConfig, state: dict, elapsed: float, complete: bool) -> SearchResult:
-    witness = state["witness"]
-    if witness is not None and _plan(config).size != config.n:
-        walked = set(witness)
-        witness = [x for x in range(3 ** config.dim) if x not in walked]
-    return SearchResult(
-        max_sets=state["best"],
-        witness=Board(config.dim, witness) if witness is not None else None,
-        nodes_visited=state["nodes"],
-        configs_pruned=state["pruned"],
-        elapsed=elapsed,
-        complete=complete,
-    )
+def _units(plan: _Plan) -> list[int]:
+    """The top-level cards that split the walk into work units."""
+    return list(range(plan.lo, 3 ** plan.dim - (plan.size - len(plan.base)) + 1))
 
 
-def _run_sequential(config: SearchConfig, state: dict | None = None) -> SearchResult:
-    t0 = time.monotonic()
-    plan = _plan(config)
-    path = config.checkpoint_path
-    if state is None:
-        state = _fresh_state(plan.lo)
-
-    def save(st):
-        if path is not None:
-            checkpoint_save(_checkpoint_for(config, "stack", dict(st)), path)
-
-    finished = _dfs_segment(
-        plan,
-        state,
-        stop_after_nodes=config.stop_after_nodes,
-        report_interval=config.report_interval if path is not None else None,
-        on_checkpoint=save,
-    )
-    return _result_from_state(config, state, time.monotonic() - t0, finished)
+def _exhausted(u: int, frontier: dict | None) -> bool:
+    """Whether `frontier` ends the walk of work unit u."""
+    return frontier is not None and not frontier["stack"] and frontier["next_card"] == u + 1
 
 
-def _unit_worker(plan: _Plan, u: int, seed_best: int) -> dict | None:
-    """Walk work unit u; return the exhausted frontier it leaves, or None
-    if the walk was interrupted."""
-    state = _fresh_state(u)
-    return state if _dfs_segment(plan, state, end=u + 1, seed_best=seed_best) else None
+def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int) -> dict:
+    """Walk work unit u on from `state` in a pool worker and return the
+    frontier the walk leaves.  The worker ignores SIGINT except while it
+    walks: a Ctrl-C that killed an idle worker would break the pool."""
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        _dfs_segment(plan, state, end=u + 1, seed_best=seed_best)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    return state
 
 
-def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: float, complete: bool) -> SearchResult:
+def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: float, complete: bool) -> SearchResult:
     # Deterministic merge: best value over all units, witness from the
     # lexicographically first unit that achieved it.  Strict pruning
     # guarantees every unit that contains a maximum board reports it.
@@ -513,79 +474,114 @@ def _merge_units(config: SearchConfig, units: list[int], done: dict, elapsed: fl
     witness = None
     nodes = 0
     pruned = 0
-    for u in units:
-        r = done.get(str(u))
-        if r is None:
+    for u in _units(plan):
+        f = frontiers.get(str(u))
+        if f is None:
             continue
-        nodes += r["nodes"]
-        pruned += r["pruned"]
-        if r["best"] > best:
-            best = r["best"]
-            witness = r["witness"]
-    state = {"best": best, "witness": witness, "nodes": nodes, "pruned": pruned}
-    return _result_from_state(config, state, elapsed, complete)
+        nodes += f["nodes"]
+        pruned += f["pruned"]
+        if f["best"] > best:
+            best = f["best"]
+            witness = f["witness"]
+    if witness is not None and plan.size != config.n:
+        walked = set(witness)
+        witness = [x for x in range(3 ** config.dim) if x not in walked]
+    return SearchResult(
+        max_sets=best,
+        witness=Board(config.dim, witness) if witness is not None else None,
+        nodes_visited=nodes,
+        configs_pruned=pruned,
+        elapsed=elapsed,
+        complete=complete,
+    )
 
 
-def _units(plan: _Plan) -> list[int]:
-    """The top-level cards that split a parallel walk into work units."""
-    return list(range(plan.lo, 3 ** plan.dim - (plan.size - len(plan.base)) + 1))
-
-
-def _run_parallel(config: SearchConfig, done: dict | None = None) -> SearchResult:
+def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
+    """Walk every work unit on from its frontier in `frontiers` (keyed by
+    str(u); a unit not there starts afresh) and merge the units.  No unit
+    starts after a stop or an interrupt.  The unit map is saved at the end
+    and at the first stop check or unit end a report_interval after the
+    last save."""
     t0 = time.monotonic()
     plan = _plan(config)
     units = _units(plan)
-    done = dict(done or {})
-    pending = [u for u in units if str(u) not in done]
+    frontiers = dict(frontiers or {})
+    pending = [u for u in units if not _exhausted(u, frontiers.get(str(u)))]
     path = config.checkpoint_path
-    seed = max([-1] + [r["best"] for r in done.values()])
     stop = config.stop_after_nodes
-    next_report = time.monotonic() + config.report_interval
+    best = max([-1] + [f["best"] for f in frontiers.values()])
+    spent = sum(f["nodes"] for f in frontiers.values())
+    next_report = t0 + config.report_interval
 
-    stopped = False
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        it = iter(pending)
-        futures = {}
+    def save():
+        nonlocal next_report
+        checkpoint_save(Checkpoint(config.dim, config.n, config.mode, config.symmetry, frontiers), path)
+        next_report = time.monotonic() + config.report_interval
 
-        def submit_next():
-            u = next(it, None)
-            if u is not None:
-                futures[pool.submit(_unit_worker, plan, u, seed)] = u
+    def report():
+        if path is not None and time.monotonic() >= next_report:
+            save()
 
-        for _ in range(config.threads):
-            submit_next()
-        while futures:
-            ready, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-            for fut in ready:
-                u = futures.pop(fut)
-                r = fut.result()
-                if r is None:
-                    # An interrupted unit stays pending and no new unit starts.
-                    stopped = True
-                    continue
-                done[str(u)] = r
-                if r["best"] > seed:
-                    seed = r["best"]
-                if stop is not None and sum(x["nodes"] for x in done.values()) >= stop:
-                    stopped = True
-                if not stopped:
-                    submit_next()
-            if path is not None and time.monotonic() >= next_report:
-                checkpoint_save(
-                    _checkpoint_for(config, "units", {"done": done}), path
+    def keep(u, state, before):
+        """Record unit u's frontier and say whether another unit may start."""
+        nonlocal best, spent
+        frontiers[str(u)] = state
+        best = max(best, state["best"])
+        spent += state["nodes"] - before
+        return _exhausted(u, state) and (stop is None or spent < stop)
+
+    if config.threads == 1:
+        try:
+            for u in pending:
+                state = frontiers.setdefault(str(u), _fresh_state(u))
+                before = state["nodes"]
+                _dfs_segment(
+                    plan,
+                    state,
+                    end=u + 1,
+                    seed_best=best,
+                    stop_after_nodes=None if stop is None else stop - spent + before,
+                    on_progress=report,
                 )
-                next_report = time.monotonic() + config.report_interval
+                if not keep(u, state, before):
+                    break
+                report()
+        except KeyboardInterrupt:  # the unit keeps the frontier of its last check
+            pass
+    else:
+        with ProcessPoolExecutor(
+            max_workers=config.threads, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        ) as pool:
+            waiting = iter(pending)
+            running = {}
 
-    complete = all(str(u) in done for u in units)
+            def submit_next():
+                u = next(waiting, None)
+                if u is not None:
+                    state = frontiers.get(str(u)) or _fresh_state(u)
+                    running[pool.submit(_unit_worker, plan, u, state, best)] = (u, state["nodes"])
+
+            for _ in range(config.threads):
+                submit_next()
+            going = True
+            while running:
+                # A Ctrl-C that lands anywhere in this loop starts no further
+                # unit, and the running units still return their frontiers.
+                try:
+                    ready, _ = wait(list(running), return_when=FIRST_COMPLETED)
+                    for fut in ready:
+                        u, before = running.pop(fut)
+                        going = keep(u, fut.result(), before) and going
+                        if going:
+                            submit_next()
+                    report()
+                except KeyboardInterrupt:
+                    going = False
+
+    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units)
     if path is not None:
-        checkpoint_save(_checkpoint_for(config, "units", {"done": done}), path)
-    return _merge_units(config, units, done, time.monotonic() - t0, complete)
-
-
-def _run(config: SearchConfig) -> SearchResult:
-    if config.threads > 1:
-        return _run_parallel(config)
-    return _run_sequential(config)
+        save()
+    return _merge_units(config, plan, frontiers, time.monotonic() - t0, complete)
 
 
 def max_sets_naive(config: SearchConfig) -> SearchResult:
@@ -647,93 +643,85 @@ def _check_witness(plan: _Plan, witness) -> None:
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 
 
-def _check_frontier(plan: _Plan, state, what: str = "state") -> None:
-    """Reject a saved depth-first frontier that the walk could not have left.
+def _check_units(plan: _Plan, units) -> None:
+    """Reject a unit map the run could not have saved: each key must name a
+    work unit u of this search and hold a frontier of u's walk, whose stack
+    starts at u or is empty with next card u or u + 1.
 
-    The resumed walk rebuilds its gain array from the stack without
+    A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
     resume silently into a wrong answer.
     """
-    if not isinstance(state, dict):
-        raise CheckpointError(f"checkpoint {what} {state!r} is not a mapping")
-    for key in _FRONTIER_KEYS:
-        if key not in state:
-            raise CheckpointError(f"checkpoint {what} is missing field {key!r}")
-    deck = 3 ** plan.dim
-    size, base, lo = plan.size, plan.base, plan.lo
-    need = size - len(base)
-    stack = state["stack"]
-    if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
-        raise CheckpointError(f"checkpoint stack {stack!r} is not a list of card ids")
-    if len(stack) >= need:
-        raise CheckpointError(
-            f"checkpoint stack holds {len(stack)} cards; a walked board of {size} "
-            f"over a base of {len(base)} allows at most {need - 1}"
-        )
-    if any(not lo <= x < deck for x in stack):
-        raise CheckpointError(f"checkpoint stack {stack!r} leaves the range [{lo}, {deck})")
-    if any(a >= b for a, b in zip(stack, stack[1:])):
-        raise CheckpointError(f"checkpoint stack {stack!r} is not strictly increasing")
-    first = stack[-1] + 1 if stack else lo
-    limit = deck - (need - len(stack) - 1)
-    c = state["next_card"]
-    if not _is_int(c) or not first <= c <= limit:
-        raise CheckpointError(f"checkpoint next_card {c!r} is outside [{first}, {limit}]")
-    for key in ("best", "nodes", "pruned"):
-        if not _is_int(state[key]):
-            raise CheckpointError(f"checkpoint {key} {state[key]!r} is not an integer")
-    _check_witness(plan, state["witness"])
-
-
-def _check_units(plan: _Plan, done) -> None:
-    """Reject a `units` checkpoint whose finished units the pool could not
-    have saved: each key must name a work unit u of this run and hold the
-    exhausted frontier of its walk (empty stack, next card u + 1)."""
-    if not isinstance(done, dict):
-        raise CheckpointError(f"checkpoint done {done!r} is not a mapping of units")
+    if not isinstance(units, dict):
+        raise CheckpointError(f"checkpoint units {units!r} is not a mapping of units")
     names = {str(u) for u in _units(plan)}
-    for key, r in done.items():
+    deck = 3 ** plan.dim
+    need = plan.size - len(plan.base)
+    for key, state in units.items():
         if key not in names:
             raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
-        _check_frontier(plan, r, f"unit {key}")
-        if r["stack"] or r["next_card"] != int(key) + 1:
+        if not isinstance(state, dict):
+            raise CheckpointError(f"checkpoint unit {key} {state!r} is not a mapping")
+        for field in _FRONTIER_KEYS:
+            if field not in state:
+                raise CheckpointError(f"checkpoint unit {key} is missing field {field!r}")
+        stack, c = state["stack"], state["next_card"]
+        if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
+            raise CheckpointError(f"checkpoint stack {stack!r} is not a list of card ids")
+        if len(stack) >= need:
             raise CheckpointError(
-                f"checkpoint unit {key} is not exhausted: stack {r['stack']!r}, next_card {r['next_card']!r}"
+                f"checkpoint stack holds {len(stack)} cards; a walked board of {plan.size} "
+                f"over a base of {len(plan.base)} allows at most {need - 1}"
             )
+        if any(a >= b for a, b in zip(stack, stack[1:])):
+            raise CheckpointError(f"checkpoint stack {stack!r} is not strictly increasing")
+        u = int(key)
+        if not (stack[0] == u if stack else c in (u, u + 1)):
+            raise CheckpointError(
+                f"checkpoint unit {key} holds no frontier of its walk: stack {stack!r}, next_card {c!r}"
+            )
+        first = stack[-1] + 1 if stack else u
+        limit = deck - (need - len(stack) - 1)
+        if not _is_int(c) or not first <= c <= limit:
+            raise CheckpointError(f"checkpoint next_card {c!r} is outside [{first}, {limit}]")
+        for field in ("best", "nodes", "pruned"):
+            if not _is_int(state[field]):
+                raise CheckpointError(f"checkpoint {field} {state[field]!r} is not an integer")
+        _check_witness(plan, state["witness"])
 
 
-def resume_search(
+def resume_checkpoint(
+    cp: Checkpoint,
     checkpoint_path,
     *,
-    threads: int | None = None,
+    threads: int = 1,
     stop_after_nodes: int | None = None,
     report_interval: float = 60.0,
 ) -> SearchResult:
-    """Continue a checkpointed pruned search to completion (or the next stop).
+    """Continue the search of checkpoint `cp`, read from checkpoint_path, to
+    completion (or the next stop), at any worker count.
 
-    A run resumed any number of times ends with the same result as an
-    uninterrupted one, elapsed time aside; resuming a finished run returns
-    its result at once.  Raises CheckpointError for a file that is
-    unreadable, from another version, names no valid search, or holds a
-    frontier, a finished unit or a witness the search could not have saved.
+    A run resumed any number of times ends with the same maximum and
+    witness as an uninterrupted one, and at one worker with the same
+    counters; resuming a finished run returns its result at once.
     """
-    cp = checkpoint_load(checkpoint_path)
     config = SearchConfig(
         dim=cp.dim,
         n=cp.n,
         mode=cp.mode,
         symmetry=cp.symmetry,
-        threads=threads if threads is not None else 1,
+        threads=threads,
         checkpoint_path=str(checkpoint_path),
         report_interval=report_interval,
         stop_after_nodes=stop_after_nodes,
     )
-    plan = _plan(config)
-    if cp.kind == "stack":
-        _check_frontier(plan, cp.state)
-        return _run_sequential(config, {k: cp.state[k] for k in _FRONTIER_KEYS})
-    _check_units(plan, cp.state.get("done"))
-    return _run_parallel(config, cp.state["done"])
+    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
+
+
+def resume_search(checkpoint_path, **run) -> SearchResult:
+    """resume_checkpoint on the file at checkpoint_path, which raises
+    CheckpointError if checkpoint_load refuses the file."""
+    return resume_checkpoint(checkpoint_load(checkpoint_path), checkpoint_path, **run)
 
 
 @dataclass(frozen=True)

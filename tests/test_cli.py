@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from setmax import cli
+from setmax import cli, search
 from setmax.catalog import CatalogReport, FixtureResult
 
 
@@ -103,6 +103,19 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[0] == "12"
         assert "complete: true" in out
+
+    def test_resume_reads_the_checkpoint_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "run.ckpt"
+        code, _, _ = run(capsys, "search", "--props", "3", "--cards", "10",
+                         "--checkpoint", str(path), "--stop-after-nodes", "40000")
+        assert code == 0
+        loads = []
+        real_load = search.checkpoint_load
+        monkeypatch.setattr(search, "checkpoint_load", lambda p: loads.append(p) or real_load(p))
+        code, out, _ = run(capsys, "search", "--props", "3", "--cards", "10",
+                           "--checkpoint", str(path), "--resume")
+        assert code == 0 and "witness (canonical orbit):" in out and "complete: true" in out
+        assert loads == [str(path)]
 
     def test_threads_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")

@@ -1,8 +1,12 @@
 import io
 import json
+import subprocess
+import sys
 import time
-from itertools import combinations
+from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations, count
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -312,10 +316,23 @@ class TestResumeInsideBlocks:
     def test_resume_from_reference_frontier(self, tmp_path, stop, kind):
         # A frontier the one-by-one walk saves mid-block, as an older
         # checkpoint would hold it, resumes to the uninterrupted result.
+        # It goes under its unit, after the units before it walked whole;
+        # it keeps the walk's best so far, which seeds its unit as the
+        # best of those units would.
         st = reference_walk(4, 7, stop_at=stop)
         assert _frontier_kind(4, 7, st) == kind
+        plan = search._plan(SearchConfig(4, 7))
+        unit = st["stack"][0]
+        units = {}
+        for u in range(plan.lo, unit):
+            seed = max([-1] + [f["best"] for f in units.values()])
+            units[str(u)] = search._fresh_state(u)
+            assert search._dfs_segment(plan, units[str(u)], end=u + 1, seed_best=seed)
+        for key in ("nodes", "pruned"):
+            st[key] -= sum(f[key] for f in units.values())
+        units[str(unit)] = st
         path = tmp_path / "mid.ckpt"
-        checkpoint_save(Checkpoint(4, 7, "pruned", True, "stack", st), path)
+        checkpoint_save(Checkpoint(4, 7, "pruned", True, units), path)
         assert outcome(resume_search(path)) == outcome(pruned(4, 7))
 
     def test_stop_and_resume_chain(self, tmp_path):
@@ -369,11 +386,69 @@ class TestParallel:
         path = tmp_path / "units.ckpt"
         r = pruned(3, 10, threads=2, checkpoint_path=str(path))
         assert not r.complete
-        saved = checkpoint_load(path)
-        assert saved.kind == "units" and "2" not in saved.state["done"]
+        # Unit 2 keeps the frontier it stopped at.
+        unit_2 = checkpoint_load(path).units["2"]
+        assert unit_2["nodes"] > 0 and not search._exhausted(2, unit_2)
         monkeypatch.undo()
         ref = pruned(3, 10)
         r = resume_search(path, threads=2)
+        assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
+    def test_ctrl_c_in_pool_wait(self, tmp_path, monkeypatch):
+        # The first wait is interrupted: the run starts no further unit,
+        # keeps the frontiers its two running units return, and saves.
+        # Nothing is pruned at d=3 n=5, so no counter depends on the best a
+        # unit is seeded with, and the resumed run counts as one that was
+        # never interrupted.
+        real_wait = search.wait
+        waits = count()
+
+        def wait(*args, **kw):
+            if next(waits) == 0:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kw)
+
+        monkeypatch.setattr(search, "wait", wait)
+        path = tmp_path / "pool.ckpt"
+        try:
+            r = pruned(3, 5, threads=2, checkpoint_path=str(path))
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped the run")
+        assert not r.complete
+        assert sorted(checkpoint_load(path).units) == ["2", "3"]
+        monkeypatch.undo()
+        ref = pruned(3, 5)
+        assert ref.configs_pruned == 0
+        assert outcome(resume_search(path, threads=2)) == outcome(ref)
+
+    def test_pool_file_resumes_in_process(self, tmp_path, monkeypatch):
+        # `threads`, not the file, decides where the units run.
+        path = tmp_path / "pool.ckpt"
+        assert not pruned(3, 10, threads=2, checkpoint_path=str(path), stop_after_nodes=10_000).complete
+
+        def no_pool(*args, **kw):
+            raise AssertionError("a one-worker resume started a process pool")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        ref = pruned(3, 10)
+        r = resume_search(path, threads=1)
+        assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
+    def test_in_process_file_resumes_in_pool(self, tmp_path, monkeypatch):
+        path = tmp_path / "one.ckpt"
+        assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
+        assert any(f["stack"] for f in checkpoint_load(path).units.values())
+        pools = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                pools.append(self)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        ref = pruned(3, 10)
+        r = resume_search(path, threads=2)
+        assert len(pools) == 1
         assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
 
 
@@ -390,7 +465,7 @@ class TestComplementRows:
 
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         path = tmp_path / "units.ckpt"
-        checkpoint_save(Checkpoint(3, 18, "pruned", True, "units", {"done": {}}), path)
+        checkpoint_save(Checkpoint(3, 18, "pruned", True, {}), path)
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
 
     def test_stop_and_resume_chain(self, tmp_path):
@@ -407,9 +482,10 @@ class TestComplementRows:
         path = tmp_path / "stack.ckpt"
         assert not pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000).complete
         payload = json.loads(path.read_text())
-        walked = payload["state"]["witness"]
+        unit = next(f for f in payload["units"].values() if f["witness"])
+        walked = unit["witness"]
         assert len(walked) == 9
-        payload["state"]["witness"] = [x for x in range(27) if x not in walked]
+        unit["witness"] = [x for x in range(27) if x not in walked]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="is not 9 distinct cards"):
             resume_search(path)
@@ -421,7 +497,7 @@ class TestComplementRows:
         # A version 2 build walked the 18 cards of this row itself: its
         # plan, had it recorded one, would have size 18, not 9.
         path = tmp_path / "v2.ckpt"
-        checkpoint_save(Checkpoint(3, 18, "pruned", True, "stack", search._fresh_state(2)), path)
+        checkpoint_save(Checkpoint(3, 18, "pruned", True, {}), path)
         payload = json.loads(path.read_text())
         assert payload["plan"]["size"] == 9
         payload["plan"]["size"] = 18
@@ -450,7 +526,7 @@ class TestCheckpoint:
     def test_resume_from_final_checkpoint_is_identity(self, tmp_path):
         path = tmp_path / "done.ckpt"
         ref = pruned(3, 9, checkpoint_path=str(path))
-        assert checkpoint_load(path).kind == "stack"
+        assert _every_unit_exhausted(path)
         again = resume_search(path)
         assert again.complete
         assert outcome(again) == outcome(ref)
@@ -458,7 +534,7 @@ class TestCheckpoint:
     def test_resume_from_final_units_checkpoint_is_identity(self, tmp_path):
         path = tmp_path / "done.ckpt"
         ref = pruned(3, 9, threads=2, checkpoint_path=str(path))
-        assert ref.complete and checkpoint_load(path).kind == "units"
+        assert ref.complete and _every_unit_exhausted(path)
         again = resume_search(path, threads=2)
         assert again.complete
         assert outcome(again) == outcome(ref)
@@ -475,9 +551,84 @@ class TestCheckpoint:
             ref.witness,
         )
 
+    def test_report_clock_spans_units(self, tmp_path, monkeypatch):
+        # A fake clock that ticks once per reading.  No unit of d=4 n=7
+        # reads it as often as `interval` times, yet the run saves once
+        # per interval, and not once per unit.
+        clock = [0.0]
+
+        def monotonic():
+            clock[0] += 1
+            return clock[0]
+
+        saves = []
+        real_save = search.checkpoint_save
+
+        def save(cp, path):
+            saves.append(clock[0])
+            real_save(cp, path)
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(search, "checkpoint_save", save)
+        interval = 100
+        path = tmp_path / "run.ckpt"
+        assert pruned(4, 7, checkpoint_path=str(path), report_interval=interval).complete
+        units = checkpoint_load(path).units
+        # A unit reads the clock once per progress check and once at its end.
+        assert max(f["nodes"] for f in units.values()) // search._PROGRESS_EVERY + 1 < interval
+        periodic = saves[:-1]
+        assert 3 <= len(periodic) and len(saves) < len(units)
+        assert all(interval <= b - a <= interval + 1 for a, b in zip([1.0] + periodic, periodic))
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_interrupt_inside_a_step(self, tmp_path, monkeypatch, joined):
+        # A KeyboardInterrupt inside a push, before or after the card has
+        # joined the board, leaves the frontier of the walk's last check,
+        # and the run resumes to the uninterrupted result.
+        real_add = search.add_to_gain
+        calls = count()
+
+        def add_to_gain(gain, chosen, card, rows, step=1):
+            interrupt = next(calls) == 3000
+            if interrupt and not joined:
+                raise KeyboardInterrupt
+            real_add(gain, chosen, card, rows, step)
+            if interrupt:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "add_to_gain", add_to_gain)
+        path = tmp_path / "run.ckpt"
+        try:
+            r = pruned(3, 10, checkpoint_path=str(path))
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped the run")
+        assert not r.complete
+        monkeypatch.undo()
+        assert outcome(resume_search(path)) == outcome(pruned(3, 10))
+
+    def test_sigint_is_caught_at_every_instruction(self, tmp_path):
+        # Real SIGINTs land wherever the walk is, inside a step too.  Each
+        # run returns unfinished with a checkpoint that loads, which needs
+        # its frontiers to be ones the walk could have left.
+        script = f"""
+import os, signal, threading
+from setmax import search
+search.max_sets_pruned(search.SearchConfig(4, 5))
+for i in range(60):
+    path = {str(tmp_path)!r} + f"/{{i}}.ckpt"
+    threading.Timer(0.005 + 0.0002 * i, os.kill, (os.getpid(), signal.SIGINT)).start()
+    r = search.max_sets_pruned(search.SearchConfig(4, 10, checkpoint_path=path))
+    assert not r.complete
+    search.checkpoint_load(path)
+print("ok")
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        payload = {"format": "setmax-checkpoint", "version": 999, "config": {}, "kind": "stack", "state": {}}
+        payload = {"format": "setmax-checkpoint", "version": 999, "config": {}, "units": {}}
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
             checkpoint_load(path)
@@ -495,14 +646,21 @@ class TestCheckpoint:
             checkpoint_load(path)
 
 
+def _every_unit_exhausted(path):
+    cp = checkpoint_load(path)
+    units = search._units(search._plan(SearchConfig(cp.dim, cp.n)))
+    return sorted(map(int, cp.units)) == units and all(search._exhausted(u, cp.units[str(u)]) for u in units)
+
+
 def _edited_checkpoint(tmp_path, edit):
-    """A d=3 n=10 stack checkpoint with `edit` applied to its saved state."""
+    """A d=3 n=10 checkpoint stopped inside a unit, with `edit` applied to
+    that unit's frontier."""
     path = tmp_path / "edited.ckpt"
     r = pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000)
     assert not r.complete
     payload = json.loads(path.read_text())
-    assert payload["kind"] == "stack" and len(payload["state"]["stack"]) >= 2
-    edit(payload["state"])
+    (st,) = [f for f in payload["units"].values() if len(f["stack"]) >= 2]
+    edit(st)
     path.write_text(json.dumps(payload))
     return path
 
@@ -522,9 +680,10 @@ BAD_FRONTIERS = {
 
 
 def _edited_file(tmp_path, edit):
-    """A fresh d=3 n=10 stack checkpoint with `edit` applied to the file."""
+    """A d=3 n=10 checkpoint whose unit 2 has not begun, with `edit` applied
+    to the file."""
     path = tmp_path / "edited.ckpt"
-    checkpoint_save(Checkpoint(3, 10, "pruned", True, "stack", search._fresh_state(2)), path)
+    checkpoint_save(Checkpoint(3, 10, "pruned", True, {"2": search._fresh_state(2)}), path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -532,17 +691,21 @@ def _edited_file(tmp_path, edit):
 
 
 BAD_FILES = {
-    "stack state is a number": (lambda p: p.update(state=5), "state 5 is not a mapping"),
-    "units state is a number": (lambda p: p.update(kind="units", state=5), "state 5 is not a mapping"),
+    "stack state is a number": (lambda p: p["units"].update({"2": 5}), "unit 2 5 is not a mapping"),
+    "units state is a number": (lambda p: p.update(units=5), "units 5 is not a mapping"),
     "config is a list": (lambda p: p.update(config=[1, 2]), "config"),
     "dim is a string": (lambda p: p["config"].update(dim="x"), "dimension"),
     "n beyond the deck": (lambda p: p["config"].update(n=99), "board size"),
     "n is a float": (lambda p: p["config"].update(n=10.0), "board size"),
     "mode is naive": (lambda p: p["config"].update(mode="naive"), "pruned mode"),
     "symmetry is a string": (lambda p: p["config"].update(symmetry="yes"), "symmetry"),
-    "kind is finished": (lambda p: p.update(kind="finished"), "kind"),
-    "stack state lacks pruned": (lambda p: p["state"].pop("pruned"), "pruned"),
-    "units state lacks done": (lambda p: p.update(kind="units"), "done"),
+    "no unit map": (lambda p: p.pop("units"), "missing field 'units'"),
+    "stack state lacks pruned": (lambda p: p["units"]["2"].pop("pruned"), "pruned"),
+    # The last format: a `kind` and one `state`, the whole walk's frontier.
+    "version 4 file": (
+        lambda p: p.update(version=4, kind="stack", state=p.pop("units")["2"]),
+        "file has 4, this build reads 5",
+    ),
     "plan missing": (lambda p: p.pop("plan"), "records no walk plan"),
     # A version 2 build walked the n cards of the complement row n=18.
     "plan walks the n cards of a complement row": (
@@ -582,14 +745,14 @@ class TestCheckpointValidation:
         assert "strictly increasing" in capsys.readouterr().err
 
 
-def _units_checkpoint(tmp_path, done):
-    """A d=3 n=10 `units` checkpoint whose finished units are `done`."""
+def _units_checkpoint(tmp_path, units):
+    """A d=3 n=10 checkpoint whose unit map is `units`."""
     path = tmp_path / "units.ckpt"
-    checkpoint_save(Checkpoint(3, 10, "pruned", True, "units", {"done": done}), path)
+    checkpoint_save(Checkpoint(3, 10, "pruned", True, units), path)
     return path
 
 
-# The exhausted frontier unit 2's walk leaves: a valid `done` entry.
+# The exhausted frontier unit 2's walk leaves: a valid unit map entry.
 UNIT_2 = {"stack": [], "next_card": 3, "best": 12, "witness": list(range(10)), "nodes": 5, "pruned": 0}
 
 BAD_UNITS = {
@@ -600,9 +763,9 @@ BAD_UNITS = {
     "best is a string": ({"2": {**UNIT_2, "best": "x"}}, "best 'x' is not an integer"),
     "nodes is a float": ({"2": {**UNIT_2, "nodes": 1.5}}, "nodes 1.5 is not an integer"),
     "witness repeats a card": ({"2": {**UNIT_2, "witness": [0] * 10}}, "witness"),
-    "stack not empty": ({"2": {**UNIT_2, "stack": [2], "next_card": 3}}, "not exhausted"),
-    "next_card inside the unit": ({"2": {**UNIT_2, "next_card": 2}}, "not exhausted"),
-    "next_card beyond the unit": ({"2": {**UNIT_2, "next_card": 4}}, "not exhausted"),
+    "stack starts at another unit's card": ({"2": {**UNIT_2, "stack": [3], "next_card": 4}}, "no frontier of its walk"),
+    "next_card before the unit": ({"3": {**UNIT_2, "next_card": 2}}, "no frontier of its walk"),
+    "next_card beyond the unit": ({"2": {**UNIT_2, "next_card": 4}}, "no frontier of its walk"),
 }
 
 
@@ -613,8 +776,8 @@ class TestUnitsCheckpointValidation:
 
     @pytest.mark.parametrize("case", list(BAD_UNITS))
     def test_rejected_on_resume(self, tmp_path, case):
-        done, reason = BAD_UNITS[case]
-        path = _units_checkpoint(tmp_path, done)
+        units, reason = BAD_UNITS[case]
+        path = _units_checkpoint(tmp_path, units)
         with pytest.raises(CheckpointError, match=reason):
             resume_search(path)
 
