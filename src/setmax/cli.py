@@ -34,7 +34,7 @@ def _default_threads() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        raise SystemExit(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
     return value
 
 
@@ -127,8 +127,8 @@ def _print_search_result(result: search.SearchResult, symmetry: bool) -> None:
 
 
 def _cmd_search(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     try:
+        threads = args.threads if args.threads is not None else _default_threads()
         if args.resume:
             if args.checkpoint is None:
                 print("--resume requires --checkpoint", file=sys.stderr)
@@ -170,8 +170,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     try:
+        threads = args.threads if args.threads is not None else _default_threads()
+        # Refuse a bad table before its first line is written.
+        search.table_configs(args.props, args.n_from, args.n_to, threads=threads)
         if args.pretty:
             rows = search.run_table(args.props, args.n_from, args.n_to, None, threads=threads)
             header = ("n", "max_sets", "search_space", "nodes", "elapsed_s", "complete")

@@ -81,6 +81,7 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -216,6 +217,22 @@ def _plan(config: SearchConfig) -> _Plan:
     return _Plan(dim, n, base, len(base), 0, 1, slack)
 
 
+@lru_cache(maxsize=8)
+def _start(plan: _Plan) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The score and gain array of the plan's base board, and the end of
+    the candidate range at each board size (leaving room for the cards
+    still to come).  Built once per plan and shared by every walk, which
+    copies an array before each push adds to it."""
+    deck = 3 ** plan.dim
+    rows = geometry.third_rows(plan.dim)
+    cnt, gain, chosen = plan.offset, [0] * deck, []
+    for x in plan.base:
+        cnt += gain[x]
+        add_to_gain(gain, chosen, x, rows, plan.step)
+    leaf = plan.size - 1
+    return cnt, tuple(gain), tuple(deck - (leaf - size) for size in range(plan.size))
+
+
 def _dfs_segment(
     plan: _Plan,
     state: dict,
@@ -260,17 +277,32 @@ def _dfs_segment(
       run, and the one-by-one walk would count each pruned candidate as
       one node and one prune.  When cnt + max(gain[c:limit]) + bound <
       best_eff, the run lasts to the end of the level.
+    - Before it pushes a surviving candidate c, the step bounds c's child
+      level from the parent's array, and skips the push when that level
+      can do nothing.  Card c completes at most one chosen pair per card
+      x, because the pair's other card is the unique third(c, x); so the
+      push raises no gain[x] by more than rise = max(step, 0), and every
+      child candidate x scores at most cnt + gain[c] + head, where head
+      = max(gain[f + 1:child limit]) + rise and f <= c is the first
+      candidate of this level entry that needed it (kept until a push
+      opens the level again; the parent's array does not change in
+      between).  A non-leaf child with head below best_eff - (its own
+      slack) - (cnt + gain[c]) is pruned whole, and a leaf child with
+      cnt + gain[c] + head <= best improves nothing (best is the walk's
+      own, as at the leaf level, so a seed never hides a witness).  The
+      skip counts what the push, the child's step and the pop would have:
+      child limit - c nodes, of which child limit - c - 1 prunes above a
+      leaf child.  The naive plan (slack L) and the min-walk (rise 0)
+      stay exact, since the bound holds for every plan.
 
     The stop trigger is checked between steps, once the node counter has
-    grown by _PROGRESS_EVERY since the last check.  One step adds at most
-    the candidates of one level, so a stop overshoots stop_after_nodes by
-    less than one level's candidates beyond that check.  The saved frontier
+    grown by _PROGRESS_EVERY since the last check.  One step adds fewer
+    nodes than the deck has cards, so a stop overshoots stop_after_nodes
+    by less than a deck's worth beyond that check.  The saved frontier
     is always a step boundary, which is all a resumed run needs; a frontier
     inside a level, as the one-by-one walk saved it, resumes just as well.
     """
-    dim, n, base = plan.dim, plan.size, plan.base
-    deck = 3 ** dim
-    base_len = len(base)
+    n, base_len = plan.size, len(plan.base)
     if base_len >= n:
         raise ValueError("base leaves no card to choose")
 
@@ -279,14 +311,13 @@ def _dfs_segment(
     nodes = state["nodes"]
     pruned = state["pruned"]
 
-    rows = geometry.third_rows(dim)
-    cnt, step, slack_at = plan.offset, plan.step, plan.slack
+    rows = geometry.third_rows(plan.dim)
+    step, slack_at = plan.step, plan.slack
+    # No gain entry rises by more than this in one push.
+    rise = max(step, 0)
 
-    gain = [0] * deck
-    chosen = []
-    for x in base:
-        cnt += gain[x]
-        add_to_gain(gain, chosen, x, rows, step)
+    cnt, gain, limit_at = _start(plan)
+    chosen = list(plan.base)
 
     # Rebuild the gain array along the saved frontier; a pop restores the
     # snapshot taken by its push.
@@ -296,17 +327,18 @@ def _dfs_segment(
         gain_stack.append(gain)
         cnt_stack.append(cnt)
         cnt += gain[s]
-        gain = gain.copy()
+        gain = list(gain)
         add_to_gain(gain, chosen, s, rows, step)
 
     c = state["next_card"]
     best_eff = best if best > seed_best else seed_best
 
-    # The end of the candidate range, leaving room for the cards still to
-    # come, indexed by the size of the chosen board.
     leaf = n - 1
-    limit_at = [deck - (leaf - size) for size in range(n)]
+    limit_at = list(limit_at)
     limit_at[base_len] = min(limit_at[base_len], end)
+    # head_at[size] bounds every gain a push at level size leaves in its
+    # child level, from the level's first look-ahead on.
+    head_at = [None] * n
 
     next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
 
@@ -362,12 +394,34 @@ def _dfs_segment(
             c = chosen.pop() + 1
             continue
 
+        # Candidate c survives at a level above the leaf: push it unless
+        # its child level can do nothing.
+        child = limit_at[size + 1]
+        score = cnt + gain[c]
+        if size + 1 == leaf:
+            room = best - score
+        else:
+            room = best_eff - slack_at[size + 1] - score - 1
+        # A skip needs head <= room.  Card c + 1 lies in the head's range,
+        # so this test settles most pushes without the max.
+        if room >= gain[c + 1] + rise:
+            head = head_at[size]
+            if head is None:
+                head = head_at[size] = max(gain[c + 1:child]) + rise
+            if head <= room:
+                nodes += child - c
+                if size + 1 < leaf:
+                    pruned += child - c - 1
+                c += 1
+                continue
+
         nodes += 1
         gain_stack.append(gain)
         cnt_stack.append(cnt)
-        cnt += gain[c]
-        gain = gain.copy()
+        cnt = score
+        gain = list(gain)
         add_to_gain(gain, chosen, c, rows, step)
+        head_at[size + 1] = None
         c += 1
     _leave()
     return finished
@@ -734,6 +788,16 @@ class TableRow:
     complete: bool
 
 
+def table_configs(dim: int, n_from: int, n_to: int, *, threads: int = 1) -> list[SearchConfig]:
+    """The search of every row of a table for the board sizes [n_from,
+    n_to] (ValueError for a bad range or worker count)."""
+    geometry.check_dimension(dim)
+    deck = 3 ** dim
+    if not 3 <= n_from <= n_to <= deck:
+        raise ValueError(f"need 3 <= n_from <= n_to <= {deck}, got [{n_from}, {n_to}]")
+    return [SearchConfig(dim=dim, n=n, mode="pruned", threads=threads) for n in range(n_from, n_to + 1)]
+
+
 def run_table(
     dim: int,
     n_from: int,
@@ -747,11 +811,9 @@ def run_table(
     Each row is computed by the pruned engine and, when `out` is given,
     streamed to it as CSV as soon as it is known.  If a row's search is
     interrupted the row is emitted with complete=false and the table stops.
+    Every row's search is checked before the header is written.
     """
-    geometry.check_dimension(dim)
-    deck = 3 ** dim
-    if not 3 <= n_from <= n_to <= deck:
-        raise ValueError(f"need 3 <= n_from <= n_to <= {deck}, got [{n_from}, {n_to}]")
+    configs = table_configs(dim, n_from, n_to, threads=threads)
     writer = None
     if out is not None:
         writer = csv.writer(out)
@@ -759,13 +821,12 @@ def run_table(
         if hasattr(out, "flush"):
             out.flush()
     rows = []
-    for n in range(n_from, n_to + 1):
-        config = SearchConfig(dim=dim, n=n, mode="pruned", threads=threads)
+    for config in configs:
         result = max_sets_pruned(config)
         row = TableRow(
-            n=n,
+            n=config.n,
             max_sets=result.max_sets,
-            search_space=search_space(dim, n),
+            search_space=search_space(dim, config.n),
             nodes_visited=result.nodes_visited,
             elapsed_seconds=result.elapsed,
             complete=result.complete,

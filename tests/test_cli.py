@@ -122,10 +122,13 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--props", "3", "--cards", "9")
         assert code == 0 and out.splitlines()[0] == "12"
 
-    def test_threads_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        with pytest.raises(SystemExit):
-            cli.main(["search", "--props", "3", "--cards", "9"])
+    def test_threads_env_invalid(self, capsys, monkeypatch):
+        for raw in ("many", "abc", "0"):
+            monkeypatch.setenv(cli.THREADS_ENV, raw)
+            for argv in (("search", "--props", "3", "--cards", "9"), ("table", "--props", "2", "--from", "3", "--to", "4")):
+                code, out, err = run(capsys, *argv)
+                assert code == cli.EXIT_PARSE and out == ""
+                assert cli.THREADS_ENV in err and repr(raw) in err
 
 
 class TestTable:
@@ -152,6 +155,18 @@ class TestTable:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--props", "2", "--from", "8", "--to", "3")
         assert code == cli.EXIT_PARSE and err
+
+    def test_bad_threads_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4", "--threads", "0")
+        assert code == cli.EXIT_PARSE and out == "" and "threads" in err
+
+    def test_bad_table_leaves_no_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "t.csv"
+        for bad in (("--threads", "0"), ("--to", "99")):
+            code, _, err = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4",
+                               "--out", str(out_path), *bad)
+            assert code == cli.EXIT_PARSE and err
+            assert not out_path.exists()
 
 
 class TestCmm:

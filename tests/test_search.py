@@ -41,13 +41,14 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
     candidates of each level one by one.  Runs to the end, or until
     `stop_at` nodes are counted, and returns the state the engine saves:
     the frontier (stack, next_card) and best, witness, nodes, pruned.
+    A `stats` dict receives the number of pushes under "pushes".
 
     With `dual`, a pruned row with 3 <= k = 3**dim - n < n is the engine's
     min-walk over k-card boards: the score starts at L - k r + C(k, 2),
@@ -80,6 +81,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
         chosen.append(x)
     best, witness, nodes, pruned = -1, None, 0, 0
     stack, cnt_stack = [], []
+    pushes = 0
     c = len(base)
     while nodes != stop_at:
         limit = deck - (need - len(stack) - 1)
@@ -100,12 +102,15 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
         elif prune and ncnt + bound[len(chosen) + 1] < best:
             pruned += 1
         else:
+            pushes += 1
             stack.append(c)
             cnt_stack.append(cnt)
             member[c] = 1
             chosen.append(c)
             cnt = ncnt
         c += 1
+    if stats is not None:
+        stats["pushes"] = pushes
     return {"stack": stack, "next_card": c, "best": best, "witness": witness, "nodes": nodes, "pruned": pruned}
 
 
@@ -264,6 +269,24 @@ class TestReferenceWalk:
     @pytest.mark.parametrize("n", [3, 5])
     def test_naive_matches_reference(self, n):
         assert outcome(naive(3, n)) == reference_outcome(3, n, symmetry=False, prune=False)
+
+    @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11)])
+    def test_look_ahead_skips_pushes(self, dim, n, monkeypatch):
+        # The engine skips the pushes whose child level can do nothing, so
+        # it adds fewer cards to a gain array than the one-by-one walk
+        # pushes, and counts exactly as that walk does.
+        stats = {}
+        ref = reference_outcome(dim, n, stats=stats)
+        real_add = search.add_to_gain
+        adds = count()
+
+        def add_to_gain(*args):
+            next(adds)
+            real_add(*args)
+
+        monkeypatch.setattr(search, "add_to_gain", add_to_gain)
+        assert outcome(pruned(dim, n)) == ref
+        assert next(adds) < stats["pushes"]
 
     def test_d7_takes_only_the_thirds_it_needs(self):
         # d=7 is above the built pair table: a push reads its few thirds
