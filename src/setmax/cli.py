@@ -2,8 +2,8 @@
 run the greedy heuristic, and verify the shipped reference boards.
 
 Card syntax everywhere is 0-based digits, e.g. `0,1,2,0`.  Exit codes:
-0 success, 2 parse failure, 3 verification mismatch, 4 budget exceeded,
-5 checkpoint corruption.
+0 success, 2 parse failure or a path that cannot be read or written,
+3 verification mismatch, 4 budget exceeded, 5 checkpoint corruption.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import catalog, geometry, heuristics, search
 from .counting import Board, count_sets, count_sets_bruteforce, list_sets
@@ -36,6 +37,18 @@ def _default_threads() -> int:
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
     return value
+
+
+@contextmanager
+def _writing():
+    """Guard a command's file output: an OSError (a path that cannot be
+    written) ends the command with the error on stderr and exit code 2,
+    as argparse ends a bad command line."""
+    try:
+        yield
+    except OSError as exc:
+        print(exc, file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
 
 
 def _card_text(card: int, dim: int) -> str:
@@ -193,7 +206,7 @@ def _cmd_table(args) -> int:
         elif args.out is None:
             search.run_table(args.props, args.n_from, args.n_to, sys.stdout, threads=threads)
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as f:
+            with _writing(), open(args.out, "w", encoding="utf-8", newline="") as f:
                 search.run_table(args.props, args.n_from, args.n_to, f, threads=threads)
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -210,10 +223,10 @@ def _cmd_cmm(args) -> int:
     if args.out is None:
         trace.write_csv(sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with _writing(), open(args.out, "w", encoding="utf-8", newline="") as f:
             trace.write_csv(f)
     if args.board_out is not None:
-        with open(args.board_out, "w", encoding="utf-8") as f:
+        with _writing(), open(args.board_out, "w", encoding="utf-8") as f:
             f.write(trace.final_board.to_text())
     return EXIT_OK
 
@@ -231,7 +244,7 @@ def _cmd_verify(args) -> int:
         if args.json_out == "-":
             print(payload)
         else:
-            with open(args.json_out, "w", encoding="utf-8") as f:
+            with _writing(), open(args.json_out, "w", encoding="utf-8") as f:
                 f.write(payload + "\n")
     if not report.ok:
         return EXIT_VERIFY
@@ -249,13 +262,14 @@ def _cmd_fixtures(args) -> int:
         sys.stdout.write(f.board.to_text())
         return EXIT_OK
     if args.export is not None:
-        os.makedirs(args.export, exist_ok=True)
-        for f in catalog.fixtures():
-            path = os.path.join(args.export, f"{f.name}.board")
-            with open(path, "w", encoding="utf-8") as fp:
-                fp.write(f"# {f.description}\n")
-                fp.write(f.board.to_text())
-            print(path)
+        with _writing():
+            os.makedirs(args.export, exist_ok=True)
+            for f in catalog.fixtures():
+                path = os.path.join(args.export, f"{f.name}.board")
+                with open(path, "w", encoding="utf-8") as fp:
+                    fp.write(f"# {f.description}\n")
+                    fp.write(f.board.to_text())
+                print(path)
         return EXIT_OK
     for f in catalog.fixtures():
         print(f"{f.name:20s} {len(f.board):3d} cards  {f.expected_sets:3d} sets  {f.description}")

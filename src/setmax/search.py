@@ -198,6 +198,11 @@ class _Plan:
     step: int
     slack: tuple[int, ...]
 
+    def limit(self, size: int) -> int:
+        """The end of the candidate range on a board of `size` cards: the
+        next card lies below it, leaving room for the cards still to come."""
+        return 3 ** self.dim - (self.size - 1 - size)
+
 
 def _plan(config: SearchConfig) -> _Plan:
     """The walk that answers `config`: a pruned row with 3 <= k = 3**d - n < n
@@ -220,17 +225,14 @@ def _plan(config: SearchConfig) -> _Plan:
 @lru_cache(maxsize=8)
 def _start(plan: _Plan) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The score and gain array of the plan's base board, and the end of
-    the candidate range at each board size (leaving room for the cards
-    still to come).  Built once per plan and shared by every walk, which
-    copies an array before each push adds to it."""
-    deck = 3 ** plan.dim
+    the candidate range at each board size.  Built once per plan and shared
+    by every walk, which copies an array before each push adds to it."""
     rows = geometry.third_rows(plan.dim)
-    cnt, gain, chosen = plan.offset, [0] * deck, []
+    cnt, gain, chosen = plan.offset, [0] * 3 ** plan.dim, []
     for x in plan.base:
         cnt += gain[x]
         add_to_gain(gain, chosen, x, rows, plan.step)
-    leaf = plan.size - 1
-    return cnt, tuple(gain), tuple(deck - (leaf - size) for size in range(plan.size))
+    return cnt, tuple(gain), tuple(map(plan.limit, range(plan.size)))
 
 
 def _dfs_segment(
@@ -275,8 +277,7 @@ def _dfs_segment(
       are cnt and the bound of the level.  Candidate x is therefore pruned
       iff gain[x] < best_eff - bound - cnt, one threshold for the whole
       run, and the one-by-one walk would count each pruned candidate as
-      one node and one prune.  When cnt + max(gain[c:limit]) + bound <
-      best_eff, the run lasts to the end of the level.
+      one node and one prune.
     - Before it pushes a surviving candidate c, the step bounds c's child
       level from the parent's array, and skips the push when that level
       can do nothing.  Card c completes at most one chosen pair per card
@@ -303,8 +304,6 @@ def _dfs_segment(
     inside a level, as the one-by-one walk saved it, resumes just as well.
     """
     n, base_len = plan.size, len(plan.base)
-    if base_len >= n:
-        raise ValueError("base leaves no card to choose")
 
     best = state["best"]
     witness = state["witness"]
@@ -320,12 +319,10 @@ def _dfs_segment(
     chosen = list(plan.base)
 
     # Rebuild the gain array along the saved frontier; a pop restores the
-    # snapshot taken by its push.
+    # snapshot taken by its push, and with it the parent's score.
     gain_stack = []
-    cnt_stack = []
     for s in state["stack"]:
         gain_stack.append(gain)
-        cnt_stack.append(cnt)
         cnt += gain[s]
         gain = list(gain)
         add_to_gain(gain, chosen, s, rows, step)
@@ -374,24 +371,20 @@ def _dfs_segment(
         elif c < limit:
             # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
             floor = best_eff - slack_at[size] - cnt
-            if gain[c] < floor:
-                start = c
-                if max(gain[c:limit]) < floor:
-                    c = limit
-                else:
-                    c += 1
-                    while gain[c] < floor:
-                        c += 1
-                nodes += c - start
-                pruned += c - start
+            start = c
+            while c < limit and gain[c] < floor:
+                c += 1
+            nodes += c - start
+            pruned += c - start
 
         if c >= limit:
             if size == base_len:
                 finished = True
                 break
             gain = gain_stack.pop()
-            cnt = cnt_stack.pop()
-            c = chosen.pop() + 1
+            c = chosen.pop()
+            cnt -= gain[c]
+            c += 1
             continue
 
         # Candidate c survives at a level above the leaf: push it unless
@@ -417,7 +410,6 @@ def _dfs_segment(
 
         nodes += 1
         gain_stack.append(gain)
-        cnt_stack.append(cnt)
         cnt = score
         gain = list(gain)
         add_to_gain(gain, chosen, c, rows, step)
@@ -498,7 +490,7 @@ def checkpoint_load(path) -> Checkpoint:
 
 def _units(plan: _Plan) -> list[int]:
     """The top-level cards that split the walk into work units."""
-    return list(range(plan.lo, 3 ** plan.dim - (plan.size - len(plan.base)) + 1))
+    return list(range(plan.lo, plan.limit(len(plan.base))))
 
 
 def _exhausted(u: int, frontier: dict | None) -> bool:
@@ -506,13 +498,13 @@ def _exhausted(u: int, frontier: dict | None) -> bool:
     return frontier is not None and not frontier["stack"] and frontier["next_card"] == u + 1
 
 
-def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int) -> dict:
+def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int, stop_after_nodes: int | None) -> dict:
     """Walk work unit u on from `state` in a pool worker and return the
     frontier the walk leaves.  The worker ignores SIGINT except while it
     walks: a Ctrl-C that killed an idle worker would break the pool."""
     signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        _dfs_segment(plan, state, end=u + 1, seed_best=seed_best)
+        _dfs_segment(plan, state, end=u + 1, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
     except KeyboardInterrupt:
         pass
     finally:
@@ -553,15 +545,22 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
 def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
     str(u); a unit not there starts afresh) and merge the units.  No unit
-    starts after a stop or an interrupt.  The unit map is saved at the end
-    and at the first stop check or unit end a report_interval after the
-    last save."""
+    starts after a stop or an interrupt, and each unit stops at the node
+    budget left when it starts.  The unit map is saved at the end and at the
+    first stop check or unit end a report_interval after the last save; a
+    checkpoint path that cannot be written (a directory, or a file in a
+    missing or read-only directory) is refused with ValueError before any
+    unit starts."""
     t0 = time.monotonic()
+    path = config.checkpoint_path
+    if path is not None:
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ValueError(f"cannot write checkpoint {path}: it is a directory, or {folder} is not a writable one")
     plan = _plan(config)
     units = _units(plan)
     frontiers = dict(frontiers or {})
     pending = [u for u in units if not _exhausted(u, frontiers.get(str(u)))]
-    path = config.checkpoint_path
     stop = config.stop_after_nodes
     best = max([-1] + [f["best"] for f in frontiers.values()])
     spent = sum(f["nodes"] for f in frontiers.values())
@@ -575,6 +574,11 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     def report():
         if path is not None and time.monotonic() >= next_report:
             save()
+
+    def budget(state):
+        """The stop_after_nodes of a unit walk from `state`: the run's
+        budget left, on top of the nodes the state already holds."""
+        return None if stop is None else stop - spent + state["nodes"]
 
     def keep(u, state, before):
         """Record unit u's frontier and say whether another unit may start."""
@@ -594,7 +598,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                     state,
                     end=u + 1,
                     seed_best=best,
-                    stop_after_nodes=None if stop is None else stop - spent + before,
+                    stop_after_nodes=budget(state),
                     on_progress=report,
                 )
                 if not keep(u, state, before):
@@ -613,7 +617,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                 u = next(waiting, None)
                 if u is not None:
                     state = frontiers.get(str(u)) or _fresh_state(u)
-                    running[pool.submit(_unit_worker, plan, u, state, best)] = (u, state["nodes"])
+                    running[pool.submit(_unit_worker, plan, u, state, best, budget(state))] = (u, state["nodes"])
 
             for _ in range(config.threads):
                 submit_next()
@@ -709,7 +713,6 @@ def _check_units(plan: _Plan, units) -> None:
     if not isinstance(units, dict):
         raise CheckpointError(f"checkpoint units {units!r} is not a mapping of units")
     names = {str(u) for u in _units(plan)}
-    deck = 3 ** plan.dim
     need = plan.size - len(plan.base)
     for key, state in units.items():
         if key not in names:
@@ -735,7 +738,7 @@ def _check_units(plan: _Plan, units) -> None:
                 f"checkpoint unit {key} holds no frontier of its walk: stack {stack!r}, next_card {c!r}"
             )
         first = stack[-1] + 1 if stack else u
-        limit = deck - (need - len(stack) - 1)
+        limit = plan.limit(len(plan.base) + len(stack))
         if not _is_int(c) or not first <= c <= limit:
             raise CheckpointError(f"checkpoint next_card {c!r} is outside [{first}, {limit}]")
         for field in ("best", "nodes", "pruned"):

@@ -20,7 +20,10 @@ def twelve(tmp_path):
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -88,6 +91,11 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--props", "3", "--cards", "10",
                            "--checkpoint", str(path), "--resume")
         assert code == cli.EXIT_CHECKPOINT and err
+
+    def test_unwritable_checkpoint_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "run.ckpt"
+        code, out, err = run(capsys, "search", "--props", "3", "--cards", "8", "--checkpoint", str(path))
+        assert code == cli.EXIT_PARSE and out == "" and str(path) in err
 
     def test_resume_without_checkpoint_flag(self, capsys):
         code, _, err = run(capsys, "search", "--props", "3", "--cards", "10", "--resume")
@@ -160,6 +168,11 @@ class TestTable:
         code, out, err = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4", "--threads", "0")
         assert code == cli.EXIT_PARSE and out == "" and "threads" in err
 
+    def test_unwritable_out_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code, out, err = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4", "--out", str(path))
+        assert code == cli.EXIT_PARSE and out == "" and str(path) in err
+
     def test_bad_table_leaves_no_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"
         for bad in (("--threads", "0"), ("--to", "99")):
@@ -188,6 +201,12 @@ class TestCmm:
 
         assert len(Board.parse_file(board_path)) == 27
 
+    @pytest.mark.parametrize("flag", ["--out", "--board-out"])
+    def test_unwritable_output_exit_code(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "trace"
+        code, _, err = run(capsys, "cmm", "--props", "3", "--upto", "3", flag, str(path))
+        assert code == cli.EXIT_PARSE and str(path) in err
+
 
 class TestVerify:
     def test_verify_ok(self, capsys):
@@ -202,6 +221,11 @@ class TestVerify:
         assert code == 0
         obj = json.loads(path.read_text())
         assert obj["ok"] is True and len(obj["fixtures"]) == 9
+
+    def test_unwritable_json_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, "verify", "--json", str(path))
+        assert code == cli.EXIT_PARSE and str(path) in err
 
     def test_verify_mismatch_exit_code(self, capsys, monkeypatch):
         fake = CatalogReport([FixtureResult("line3", 1, 2, False)], [])
@@ -230,6 +254,12 @@ class TestFixtures:
         assert len(paths) == 9
         for p in paths:
             Board.parse_file(p)
+
+    def test_export_onto_a_file_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "boards"
+        path.write_text("not a directory\n")
+        code, out, err = run(capsys, "fixtures", "--export", str(path))
+        assert code == cli.EXIT_PARSE and out == "" and str(path) in err
 
 
 def test_module_entry_point_smoke():

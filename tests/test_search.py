@@ -388,6 +388,15 @@ class TestParallel:
     def test_naive_parallel(self):
         assert naive(3, 5, threads=2).max_sets == 2
 
+    def test_pool_units_stop_at_the_budget(self):
+        # Each of the two running units stops at the budget left when it
+        # started, overshooting it by less than a progress interval plus a
+        # deck; no unit starts after a stop.
+        budget = 100_000
+        r = pruned(4, 10, threads=2, stop_after_nodes=budget)
+        assert not r.complete
+        assert r.nodes_visited < 2 * (budget + search._PROGRESS_EVERY + 81)
+
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         # A one-worker pool runs the units in order, each seeded with the
         # best of the units before it: the sequential walk, split up.
@@ -563,16 +572,27 @@ class TestCheckpoint:
         assert outcome(again) == outcome(ref)
 
     def test_parallel_units_resume(self, tmp_path):
+        # Pool units stop inside their walks and are seeded with the best
+        # known when they start, so only the answer, not the counters,
+        # matches an uninterrupted two-worker run.
         ref = pruned(3, 10, threads=2)
         path = tmp_path / "units.ckpt"
         r = pruned(3, 10, threads=2, checkpoint_path=str(path), stop_after_nodes=10_000)
         while not r.complete:
             r = resume_search(path, threads=2)
-        assert (r.max_sets, r.nodes_visited, r.witness) == (
-            ref.max_sets,
-            ref.nodes_visited,
-            ref.witness,
-        )
+        assert (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
+    @pytest.mark.parametrize("path", ["missing/run.ckpt", "plain.txt/run.ckpt", "run.ckpt"])
+    def test_unwritable_path_refused_before_the_walk(self, tmp_path, monkeypatch, path):
+        (tmp_path / "plain.txt").write_text("")
+        (tmp_path / "run.ckpt").mkdir()
+
+        def no_walk(*args, **kw):
+            raise AssertionError("a unit started")
+
+        monkeypatch.setattr(search, "_dfs_segment", no_walk)
+        with pytest.raises(ValueError, match="run.ckpt"):
+            pruned(3, 8, checkpoint_path=str(tmp_path / path))
 
     def test_report_clock_spans_units(self, tmp_path, monkeypatch):
         # A fake clock that ticks once per reading.  No unit of d=4 n=7
