@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import catalog, geometry, heuristics, search
 from .counting import Board, count_sets, count_sets_bruteforce, list_sets
@@ -49,6 +49,12 @@ def _writing():
     except OSError as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
+
+
+def _output(path):
+    """The destination of a command's table: the file at `path`, opened
+    for writing, or stdout when no path is given."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
 
 
 def _card_text(card: int, dim: int) -> str:
@@ -89,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", type=int, required=True)
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--pretty", action="store_true", help="aligned table instead of CSV")
 
@@ -141,34 +147,20 @@ def _print_search_result(result: search.SearchResult, symmetry: bool) -> None:
 
 def _cmd_search(args) -> int:
     try:
-        threads = args.threads if args.threads is not None else _default_threads()
-        if args.resume:
-            if args.checkpoint is None:
-                print("--resume requires --checkpoint", file=sys.stderr)
-                return EXIT_PARSE
-            cp = search.checkpoint_load(args.checkpoint)
-            result = search.resume_checkpoint(
-                cp,
-                args.checkpoint,
-                threads=threads,
-                stop_after_nodes=args.stop_after_nodes,
-                report_interval=args.report_interval,
-            )
-            symmetry = cp.symmetry
-        else:
-            config = search.SearchConfig(
-                dim=args.props,
-                n=args.cards,
-                mode=args.mode,
-                symmetry=args.symmetry,
-                threads=threads,
-                checkpoint_path=args.checkpoint,
-                report_interval=args.report_interval,
-                naive_budget=args.budget,
-                stop_after_nodes=args.stop_after_nodes,
-            )
-            result = search.run_search(config)
-            symmetry = config.mode == "pruned" and config.symmetry
+        if args.resume and args.checkpoint is None:
+            raise ValueError("--resume requires --checkpoint")
+        config = search.SearchConfig(
+            dim=args.props,
+            n=args.cards,
+            mode=args.mode,
+            symmetry=args.symmetry,
+            threads=args.threads if args.threads is not None else _default_threads(),
+            checkpoint_path=args.checkpoint,
+            report_interval=args.report_interval,
+            naive_budget=args.budget,
+            stop_after_nodes=args.stop_after_nodes,
+        )
+        result = (search.resume_checkpoint if args.resume else search.run_search)(config)
     except search.BudgetExceededError as exc:
         print(exc, file=sys.stderr)
         return EXIT_BUDGET
@@ -178,36 +170,27 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    _print_search_result(result, symmetry)
+    _print_search_result(result, config.mode == "pruned" and config.symmetry)
     return EXIT_OK
+
+
+def _write_pretty(rows, out) -> None:
+    fmt = "{:>3} {:>9} {:>14} {:>12} {:>10} {:>9}\n"
+    out.write(fmt.format("n", "max_sets", "search_space", "nodes", "elapsed_s", "complete"))
+    for r in rows:
+        complete = "true" if r.complete else "false"
+        out.write(fmt.format(r.n, r.max_sets, r.search_space, r.nodes_visited, f"{r.elapsed_seconds:.2f}", complete))
 
 
 def _cmd_table(args) -> int:
     try:
         threads = args.threads if args.threads is not None else _default_threads()
-        # Refuse a bad table before its first line is written.
+        # Refuse a bad table before its destination is opened.
         search.table_configs(args.props, args.n_from, args.n_to, threads=threads)
-        if args.pretty:
-            rows = search.run_table(args.props, args.n_from, args.n_to, None, threads=threads)
-            header = ("n", "max_sets", "search_space", "nodes", "elapsed_s", "complete")
-            fmt = "{:>3} {:>9} {:>14} {:>12} {:>10} {:>9}"
-            print(fmt.format(*header))
-            for r in rows:
-                print(
-                    fmt.format(
-                        r.n,
-                        r.max_sets,
-                        r.search_space,
-                        r.nodes_visited,
-                        f"{r.elapsed_seconds:.2f}",
-                        "true" if r.complete else "false",
-                    )
-                )
-        elif args.out is None:
-            search.run_table(args.props, args.n_from, args.n_to, sys.stdout, threads=threads)
-        else:
-            with _writing(), open(args.out, "w", encoding="utf-8", newline="") as f:
-                search.run_table(args.props, args.n_from, args.n_to, f, threads=threads)
+        with _writing(), _output(args.out) as out:
+            rows = search.run_table(args.props, args.n_from, args.n_to, None if args.pretty else out, threads=threads)
+            if args.pretty:
+                _write_pretty(rows, out)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
@@ -220,11 +203,8 @@ def _cmd_cmm(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    if args.out is None:
-        trace.write_csv(sys.stdout)
-    else:
-        with _writing(), open(args.out, "w", encoding="utf-8", newline="") as f:
-            trace.write_csv(f)
+    with _writing(), _output(args.out) as f:
+        trace.write_csv(f)
     if args.board_out is not None:
         with _writing(), open(args.board_out, "w", encoding="utf-8") as f:
             f.write(trace.final_board.to_text())

@@ -86,7 +86,7 @@ from itertools import accumulate
 from math import comb
 
 from . import geometry
-from .counting import Board, add_to_gain
+from .counting import Board, add_to_gain, count_sets
 
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
 
@@ -704,7 +704,8 @@ _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 def _check_units(plan: _Plan, units) -> None:
     """Reject a unit map the run could not have saved: each key must name a
     work unit u of this search and hold a frontier of u's walk, whose stack
-    starts at u or is empty with next card u or u + 1.
+    starts at u or is empty with next card u or u + 1, whose best is the
+    score of its witness (-1 with none), and whose 0 <= pruned <= nodes.
 
     A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
@@ -744,41 +745,47 @@ def _check_units(plan: _Plan, units) -> None:
         for field in ("best", "nodes", "pruned"):
             if not _is_int(state[field]):
                 raise CheckpointError(f"checkpoint {field} {state[field]!r} is not an integer")
-        _check_witness(plan, state["witness"])
+        if not 0 <= state["pruned"] <= state["nodes"]:
+            raise CheckpointError(f"checkpoint unit {key} counts {state['pruned']} prunes of {state['nodes']} nodes")
+        witness = state["witness"]
+        _check_witness(plan, witness)
+        # A walk's best is -1 until it scores a board, and from then on the
+        # score of its witness, a walked board (see _plan).
+        score = -1 if witness is None else plan.offset + plan.step * count_sets(Board(plan.dim, witness))
+        if state["best"] != score:
+            raise CheckpointError(f"checkpoint unit {key} has best {state['best']}, but its witness scores {score}")
 
 
-def resume_checkpoint(
-    cp: Checkpoint,
-    checkpoint_path,
-    *,
-    threads: int = 1,
-    stop_after_nodes: int | None = None,
-    report_interval: float = 60.0,
-) -> SearchResult:
-    """Continue the search of checkpoint `cp`, read from checkpoint_path, to
-    completion (or the next stop), at any worker count.
+def _resume(config: SearchConfig, cp: Checkpoint) -> SearchResult:
+    """Continue the search of checkpoint `cp` as `config` asks, which must
+    name the file's search (else CheckpointError)."""
+    saved, asked = ((c.dim, c.n, c.mode, c.symmetry) for c in (cp, config))
+    if saved != asked:
+        raise CheckpointError(
+            f"checkpoint {config.checkpoint_path} holds the search (dim, n, mode, symmetry) = {saved}, not {asked}"
+        )
+    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
+
+
+def resume_checkpoint(config: SearchConfig) -> SearchResult:
+    """Continue the search `config` from its checkpoint_path to completion
+    (or the next stop), at config.threads workers.  The file must hold that
+    search, (dim, n, mode, symmetry) alike, else CheckpointError.
 
     A run resumed any number of times ends with the same maximum and
     witness as an uninterrupted one, and at one worker with the same
     counters; resuming a finished run returns its result at once.
     """
-    config = SearchConfig(
-        dim=cp.dim,
-        n=cp.n,
-        mode=cp.mode,
-        symmetry=cp.symmetry,
-        threads=threads,
-        checkpoint_path=str(checkpoint_path),
-        report_interval=report_interval,
-        stop_after_nodes=stop_after_nodes,
-    )
-    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
+    return _resume(config, checkpoint_load(config.checkpoint_path))
 
 
 def resume_search(checkpoint_path, **run) -> SearchResult:
-    """resume_checkpoint on the file at checkpoint_path, which raises
-    CheckpointError if checkpoint_load refuses the file."""
-    return resume_checkpoint(checkpoint_load(checkpoint_path), checkpoint_path, **run)
+    """resume_checkpoint of the search the file at checkpoint_path holds,
+    with the other SearchConfig fields from `run`; CheckpointError if
+    checkpoint_load refuses the file."""
+    cp = checkpoint_load(checkpoint_path)
+    config = SearchConfig(cp.dim, cp.n, cp.mode, cp.symmetry, checkpoint_path=str(checkpoint_path), **run)
+    return _resume(config, cp)
 
 
 @dataclass(frozen=True)

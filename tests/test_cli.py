@@ -125,6 +125,25 @@ class TestSearch:
         assert code == 0 and "witness (canonical orbit):" in out and "complete: true" in out
         assert loads == [str(path)]
 
+    @pytest.mark.parametrize(
+        "other",
+        [("--props", "3", "--cards", "12"), ("--props", "4", "--cards", "10"), ("--props", "3", "--cards", "10", "--no-symmetry")],
+    )
+    def test_resume_of_another_search_exit_code(self, capsys, tmp_path, other):
+        path = tmp_path / "run.ckpt"
+        code, _, _ = run(capsys, "search", "--props", "3", "--cards", "10",
+                         "--checkpoint", str(path), "--stop-after-nodes", "30000")
+        assert code == 0
+        code, out, err = run(capsys, "search", *other, "--checkpoint", str(path), "--resume")
+        assert code == cli.EXIT_CHECKPOINT and out == "" and "(3, 10, 'pruned', True)" in err
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "folder"])
+    def test_unreadable_checkpoint_exit_code(self, capsys, tmp_path, name):
+        (tmp_path / "folder").mkdir()
+        path = tmp_path / name
+        code, out, err = run(capsys, "search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume")
+        assert code == cli.EXIT_CHECKPOINT and out == "" and "unreadable checkpoint" in err
+
     def test_threads_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         code, out, _ = run(capsys, "search", "--props", "3", "--cards", "9")
@@ -159,6 +178,18 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4", "--pretty")
         assert code == 0
         assert out.splitlines()[0].split()[:2] == ["n", "max_sets"]
+
+    def test_pretty_to_file(self, capsys, tmp_path):
+        out_path = tmp_path / "t.txt"
+        argv = ("table", "--props", "2", "--from", "3", "--to", "4", "--pretty")
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, *argv)
+
+        def columns(text):  # every column but elapsed_s
+            return [line.split()[:4] + line.split()[5:] for line in text.splitlines()]
+
+        assert len(columns(out)) == 3 and columns(out_path.read_text()) == columns(out)
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--props", "2", "--from", "8", "--to", "3")

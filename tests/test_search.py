@@ -525,6 +525,19 @@ class TestComplementRows:
         assert code == cli.EXIT_CHECKPOINT == 5
         assert "is not 9 distinct cards" in capsys.readouterr().err
 
+    def test_best_is_the_score_of_the_walked_witness(self, tmp_path):
+        # A min-walk unit's best is L - k r + C(k, 2) = 117 - 9 * 13 + 36
+        # minus the sets on its walked 9-card witness; one more is refused.
+        path = tmp_path / "stack.ckpt"
+        assert not pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000).complete
+        payload = json.loads(path.read_text())
+        unit = next(f for f in payload["units"].values() if f["witness"])
+        assert unit["best"] == 36 - count_sets(Board(3, unit["witness"]))
+        unit["best"] += 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="but its witness scores"):
+            resume_search(path)
+
     def test_version_2_file_refused(self, tmp_path):
         # A version 2 build walked the 18 cards of this row itself: its
         # plan, had it recorded one, would have size 18, not 9.
@@ -581,6 +594,16 @@ class TestCheckpoint:
         while not r.complete:
             r = resume_search(path, threads=2)
         assert (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+
+    def test_resume_of_another_search_refused(self, tmp_path):
+        # The file is refused before the walk, and left as it was.
+        path = tmp_path / "run.ckpt"
+        assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
+        saved = path.read_bytes()
+        with pytest.raises(CheckpointError, match=r"\(3, 10, 'pruned', True\), not \(4, 12, 'pruned', True\)"):
+            search.resume_checkpoint(SearchConfig(4, 12, checkpoint_path=str(path)))
+        assert path.read_bytes() == saved
+        assert outcome(search.resume_checkpoint(SearchConfig(3, 10, checkpoint_path=str(path)))) == outcome(pruned(3, 10))
 
     @pytest.mark.parametrize("path", ["missing/run.ckpt", "plain.txt/run.ckpt", "run.ckpt"])
     def test_unwritable_path_refused_before_the_walk(self, tmp_path, monkeypatch, path):
@@ -719,6 +742,8 @@ BAD_FRONTIERS = {
     "witness too short": lambda st: st.update(witness=[0, 1, 2]),
     "witness repeats a card": lambda st: st.update(witness=[0] * 10),
     "witness beyond deck": lambda st: st.update(witness=list(range(18, 28))),
+    "best above its witness's score": lambda st: st.update(best=99),
+    "best without a witness": lambda st: st.update(best=50, witness=None),
 }
 
 
@@ -809,6 +834,12 @@ BAD_UNITS = {
     "stack starts at another unit's card": ({"2": {**UNIT_2, "stack": [3], "next_card": 4}}, "no frontier of its walk"),
     "next_card before the unit": ({"3": {**UNIT_2, "next_card": 2}}, "no frontier of its walk"),
     "next_card beyond the unit": ({"2": {**UNIT_2, "next_card": 4}}, "no frontier of its walk"),
+    "best above its witness's score": ({"2": {**UNIT_2, "best": 99}}, "has best 99, but its witness scores 12"),
+    "best without a witness": ({"2": {**UNIT_2, "best": 50, "witness": None}}, "has best 50, but its witness scores -1"),
+    "witness without a best": ({"2": {**UNIT_2, "best": -1}}, "has best -1, but its witness scores 12"),
+    "nodes negative": ({"2": {**UNIT_2, "nodes": -1}}, "counts 0 prunes of -1 nodes"),
+    "pruned negative": ({"2": {**UNIT_2, "pruned": -1}}, "counts -1 prunes of 5 nodes"),
+    "pruned above nodes": ({"2": {**UNIT_2, "pruned": 6}}, "counts 6 prunes of 5 nodes"),
 }
 
 
