@@ -4,18 +4,17 @@ run the greedy heuristic, and verify the shipped reference boards.
 Card syntax everywhere is 0-based digits, e.g. `0,1,2,0`.  Exit codes:
 0 success, 2 parse failure or a path that cannot be read or written,
 3 verification mismatch, 4 budget exceeded, 5 checkpoint corruption.
+
+Each command imports its engine when it runs, so `setmax count` loads
+neither the search nor the catalog.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-
-from . import catalog, geometry, heuristics, search
-from .counting import Board, count_sets, count_sets_bruteforce, list_sets
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,10 +56,6 @@ def _output(path):
     return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
 
 
-def _card_text(card: int, dim: int) -> str:
-    return ",".join(str(v) for v in geometry.decode_card(card, dim))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setmax",
@@ -88,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop (checkpointing) after visiting this many nodes")
     p.add_argument("--report-interval", type=float, default=60.0,
                    help="seconds between periodic checkpoints")
-    p.add_argument("--budget", type=int, default=search.DEFAULT_NAIVE_BUDGET,
+    # None stands for search.DEFAULT_NAIVE_BUDGET, which _cmd_search fills
+    # in, so that building the parser imports no engine.
+    p.add_argument("--budget", type=int, default=None,
                    help="naive-mode triple-check budget")
 
     p = sub.add_parser("table", help="maximum sets for a range of board sizes (CSV)")
@@ -117,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
+    from .counting import Board, count_sets, count_sets_bruteforce, list_sets
+    from .geometry import decode_card
+
     try:
         board = Board.parse_file(args.board_file, dim=args.props)
     except (ValueError, OSError) as exc:
@@ -128,11 +128,11 @@ def _cmd_count(args) -> int:
         for line in list_sets(board):
             print()
             for card in line:
-                print(_card_text(card, board.dim))
+                print(",".join(str(v) for v in decode_card(card, board.dim)))
     return EXIT_OK
 
 
-def _print_search_result(result: search.SearchResult, symmetry: bool) -> None:
+def _print_search_result(result, symmetry: bool) -> None:
     print(result.max_sets)
     if result.witness is None:
         print("witness: none")
@@ -146,6 +146,8 @@ def _print_search_result(result: search.SearchResult, symmetry: bool) -> None:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     try:
         if args.resume and args.checkpoint is None:
             raise ValueError("--resume requires --checkpoint")
@@ -157,7 +159,7 @@ def _cmd_search(args) -> int:
             threads=args.threads if args.threads is not None else _default_threads(),
             checkpoint_path=args.checkpoint,
             report_interval=args.report_interval,
-            naive_budget=args.budget,
+            naive_budget=search.DEFAULT_NAIVE_BUDGET if args.budget is None else args.budget,
             stop_after_nodes=args.stop_after_nodes,
         )
         result = (search.resume_checkpoint if args.resume else search.run_search)(config)
@@ -183,6 +185,8 @@ def _write_pretty(rows, out) -> None:
 
 
 def _cmd_table(args) -> int:
+    from . import search
+
     try:
         threads = args.threads if args.threads is not None else _default_threads()
         # Refuse a bad table before its destination is opened.
@@ -198,6 +202,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_cmm(args) -> int:
+    from . import heuristics
+
     try:
         trace = heuristics.cmm_run(args.props, args.upto)
     except ValueError as exc:
@@ -212,6 +218,10 @@ def _cmd_cmm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from . import catalog
+
     report = catalog.verify_all()
     for r in report.fixtures:
         status = "ok  " if r.ok else "FAIL"
@@ -233,6 +243,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from . import catalog
+
     if args.show is not None:
         try:
             f = catalog.fixture(args.show)

@@ -79,7 +79,6 @@ import json
 import os
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -607,7 +606,11 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
         except KeyboardInterrupt:  # the unit keeps the frontier of its last check
             pass
     else:
-        with ProcessPoolExecutor(
+        # Imported at the first pool: concurrent.futures.process pulls in
+        # multiprocessing, which a one-worker run never needs.
+        from concurrent import futures
+
+        with futures.ProcessPoolExecutor(
             max_workers=config.threads, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
         ) as pool:
             waiting = iter(pending)
@@ -626,7 +629,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                 # A Ctrl-C that lands anywhere in this loop starts no further
                 # unit, and the running units still return their frontiers.
                 try:
-                    ready, _ = wait(list(running), return_when=FIRST_COMPLETED)
+                    ready, _ = futures.wait(list(running), return_when=futures.FIRST_COMPLETED)
                     for fut in ready:
                         u, before = running.pop(fut)
                         going = keep(u, fut.result(), before) and going
@@ -775,7 +778,10 @@ def resume_checkpoint(config: SearchConfig) -> SearchResult:
     A run resumed any number of times ends with the same maximum and
     witness as an uninterrupted one, and at one worker with the same
     counters; resuming a finished run returns its result at once.
+    ValueError if config names no checkpoint_path.
     """
+    if config.checkpoint_path is None:
+        raise ValueError("resume_checkpoint needs a checkpoint file, but config.checkpoint_path is None")
     return _resume(config, checkpoint_load(config.checkpoint_path))
 
 

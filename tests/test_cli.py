@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from setmax import cli, search
+from setmax import catalog, cli, search
 from setmax.catalog import CatalogReport, FixtureResult
 
 
@@ -84,6 +84,12 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--props", "4", "--cards", "7", "--mode", "naive")
         assert code == cli.EXIT_BUDGET
         assert "budget" in err
+
+    def test_budget_default(self, capsys, monkeypatch):
+        configs = []
+        monkeypatch.setattr(search, "run_search", lambda config: configs.append(config) or search.max_sets_naive(config))
+        code, _, _ = run(capsys, "search", "--props", "3", "--cards", "4", "--mode", "naive")
+        assert code == 0 and configs[0].naive_budget == search.DEFAULT_NAIVE_BUDGET
 
     def test_corrupt_checkpoint_exit_code(self, capsys, tmp_path):
         path = tmp_path / "broken.ckpt"
@@ -260,7 +266,7 @@ class TestVerify:
 
     def test_verify_mismatch_exit_code(self, capsys, monkeypatch):
         fake = CatalogReport([FixtureResult("line3", 1, 2, False)], [])
-        monkeypatch.setattr(cli.catalog, "verify_all", lambda: fake)
+        monkeypatch.setattr(catalog, "verify_all", lambda: fake)
         code, out, _ = run(capsys, "verify")
         assert code == cli.EXIT_VERIFY
         assert "FAIL line3" in out

@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from itertools import combinations, count
 from math import comb
 from types import SimpleNamespace
@@ -432,7 +432,9 @@ class TestParallel:
         # Nothing is pruned at d=3 n=5, so no counter depends on the best a
         # unit is seeded with, and the resumed run counts as one that was
         # never interrupted.
-        real_wait = search.wait
+        # The pool machinery is imported when a run starts a pool, so the
+        # patches go on the concurrent.futures names the runner looks up.
+        real_wait = futures.wait
         waits = count()
 
         def wait(*args, **kw):
@@ -440,7 +442,7 @@ class TestParallel:
                 raise KeyboardInterrupt
             return real_wait(*args, **kw)
 
-        monkeypatch.setattr(search, "wait", wait)
+        monkeypatch.setattr(futures, "wait", wait)
         path = tmp_path / "pool.ckpt"
         try:
             r = pruned(3, 5, threads=2, checkpoint_path=str(path))
@@ -461,7 +463,7 @@ class TestParallel:
         def no_pool(*args, **kw):
             raise AssertionError("a one-worker resume started a process pool")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
         ref = pruned(3, 10)
         r = resume_search(path, threads=1)
         assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
@@ -472,12 +474,12 @@ class TestParallel:
         assert any(f["stack"] for f in checkpoint_load(path).units.values())
         pools = []
 
-        class Pool(ProcessPoolExecutor):
+        class Pool(futures.ProcessPoolExecutor):
             def __init__(self, *args, **kw):
                 pools.append(self)
                 super().__init__(*args, **kw)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
         ref = pruned(3, 10)
         r = resume_search(path, threads=2)
         assert len(pools) == 1
@@ -604,6 +606,15 @@ class TestCheckpoint:
             search.resume_checkpoint(SearchConfig(4, 12, checkpoint_path=str(path)))
         assert path.read_bytes() == saved
         assert outcome(search.resume_checkpoint(SearchConfig(3, 10, checkpoint_path=str(path)))) == outcome(pruned(3, 10))
+
+    def test_resume_without_a_path_refused(self, monkeypatch):
+        # Refused by name before any file is read.
+        def load(path):
+            raise AssertionError(f"read checkpoint {path!r}")
+
+        monkeypatch.setattr(search, "checkpoint_load", load)
+        with pytest.raises(ValueError, match="checkpoint_path is None"):
+            search.resume_checkpoint(SearchConfig(3, 10))
 
     @pytest.mark.parametrize("path", ["missing/run.ckpt", "plain.txt/run.ckpt", "run.ckpt"])
     def test_unwritable_path_refused_before_the_walk(self, tmp_path, monkeypatch, path):
