@@ -3,7 +3,8 @@ run the greedy heuristic, and verify the shipped reference boards.
 
 Card syntax everywhere is 0-based digits, e.g. `0,1,2,0`.  Exit codes:
 0 success, 2 parse failure or a path that cannot be read or written,
-3 verification mismatch, 4 budget exceeded, 5 checkpoint corruption.
+3 verification mismatch, 4 budget exceeded, 5 checkpoint corruption,
+141 stdout closed by its reader (as a shell reports a SIGPIPE death).
 
 Each command imports its engine when it runs, so `setmax count` loads
 neither the search nor the catalog.
@@ -21,6 +22,7 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 EXIT_CHECKPOINT = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 THREADS_ENV = "SET_SEARCH_THREADS"
 
@@ -42,9 +44,11 @@ def _default_threads() -> int:
 def _writing():
     """Guard a command's file output: an OSError (a path that cannot be
     written) ends the command with the error on stderr and exit code 2,
-    as argparse ends a bad command line."""
+    as argparse ends a bad command line.  A closed stdout is left to main."""
     try:
         yield
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
@@ -280,7 +284,15 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (`setmax ... | head`).  Point stdout
+        # at devnull so that the flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 8
@@ -237,12 +236,45 @@ def lines_per_card(d: int) -> int:
     return (3 ** d - 1) // 2
 
 
-@dataclass(frozen=True)
-class Flat:
+class _Record:
+    """An immutable record that compares, hashes, prints and pickles by its
+    fields (the subclass's __slots__), as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Flat(_Record):
     """An affine subspace: 3**rank cards closed under third-card completion."""
 
-    cards: frozenset[int]
-    rank: int
+    __slots__ = ("cards", "rank")
+
+    def __init__(self, cards: frozenset[int], rank: int):
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "rank", rank)
 
 
 def span_flat(points, d: int) -> Flat:
@@ -326,28 +358,27 @@ def _det_mod3(matrix: list[list[int]]) -> int:
     return det
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Record):
     """An invertible map x -> Ax + t of the d-dimensional space onto itself.
 
     Such maps send lines to lines and therefore preserve set counts, which
-    is what lets the search fix its first two cards.
+    is what lets the search fix its first two cards.  The entries are kept
+    reduced mod 3.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...]
+    __slots__ = ("matrix", "translation")
 
-    def __post_init__(self):
-        d = len(self.translation)
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], translation: tuple[int, ...]):
+        d = len(translation)
         check_dimension(d)
-        object.__setattr__(
-            self, "matrix", tuple(tuple(v % 3 for v in row) for row in self.matrix)
-        )
-        object.__setattr__(self, "translation", tuple(v % 3 for v in self.translation))
-        if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
+        matrix = tuple(tuple(v % 3 for v in row) for row in matrix)
+        translation = tuple(v % 3 for v in translation)
+        if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d} to match the translation")
-        if _det_mod3([list(row) for row in self.matrix]) == 0:
+        if _det_mod3([list(row) for row in matrix]) == 0:
             raise SingularMapError("matrix is singular mod 3; the map would collapse lines")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "translation", translation)
 
     @property
     def dim(self) -> int:

@@ -279,21 +279,34 @@ def _dfs_segment(
       one node and one prune.
     - Before it pushes a surviving candidate c, the step bounds c's child
       level from the parent's array, and skips the push when that level
-      can do nothing.  Card c completes at most one chosen pair per card
-      x, because the pair's other card is the unique third(c, x); so the
-      push raises no gain[x] by more than rise = max(step, 0), and every
-      child candidate x scores at most cnt + gain[c] + head, where head
-      = max(gain[f + 1:child limit]) + rise and f <= c is the first
-      candidate of this level entry that needed it (kept until a push
-      opens the level again; the parent's array does not change in
-      between).  A non-leaf child with head below best_eff - (its own
-      slack) - (cnt + gain[c]) is pruned whole, and a leaf child with
-      cnt + gain[c] + head <= best improves nothing (best is the walk's
-      own, as at the leaf level, so a seed never hides a witness).  The
-      skip counts what the push, the child's step and the pop would have:
+      provably does nothing.  The push adds step to gain[x] for each
+      x = third(c, b) with b chosen, and third(c, .) is injective (b is
+      third(c, x) again), so each x is raised at most once: the child's
+      array is gain'[x] = gain[x] + step [x in R], R = {third(c, b)}.
+      Child candidate x in (c, child limit) scores cnt + gain[c] +
+      gain'[x].  A leaf child improves best iff some gain'[x] exceeds
+      room = best - cnt - gain[c] (best is the walk's own, as at the leaf
+      level, so a seed never hides a witness); a non-leaf child is pruned
+      whole iff every gain'[x] is at most room = best_eff - (its own
+      slack) - cnt - gain[c] - 1.  Either way the child does nothing iff
+      no gain'[x] exceeds room.  With rise = max(step, 0), every gain'[x]
+      is at most head = max(gain[f + 1:child limit]) + rise, where f <= c
+      is the first candidate of this level entry that needed it (kept
+      until a push opens the level again; the parent's array does not
+      change in between).  The push is skipped when head <= room, and in
+      the tie head == room + 1 with rise 1 when no chosen b gives an x =
+      third(c, b) with c < x < child limit and gain[x] == room: every
+      gain[x] in the range is at most head - 1 = room, so only a raised
+      entry at room can pass it, and one raise is all an entry gets.
+      The pretest gain[c + 1] <= room sends only the pushes that could
+      skip to the head.  The min-walk (rise 0) needs no tie test: a push
+      only lowers its entries, so head is the parent's maximum itself,
+      not one above it.  Nor does the naive plan (slack L) at a non-leaf
+      child: there room < best_eff - L <= 0 <= gain[x], so it never
+      skips; at a leaf child it follows the max-walk's rule.  The skip
+      counts what the push, the child's step and the pop would have:
       child limit - c nodes, of which child limit - c - 1 prunes above a
-      leaf child.  The naive plan (slack L) and the min-walk (rise 0)
-      stay exact, since the bound holds for every plan.
+      leaf child.
 
     The stop trigger is checked between steps, once the node counter has
     grown by _PROGRESS_EVERY since the last check.  One step adds fewer
@@ -394,12 +407,22 @@ def _dfs_segment(
             room = best - score
         else:
             room = best_eff - slack_at[size + 1] - score - 1
-        # A skip needs head <= room.  Card c + 1 lies in the head's range,
-        # so this test settles most pushes without the max.
-        if room >= gain[c + 1] + rise:
+        # A skip needs head <= room, or the tie head == room + 1 with rise 1.
+        # Card c + 1 lies in the head's range, so this test settles most
+        # pushes without the max.
+        if room >= gain[c + 1]:
             head = head_at[size]
             if head is None:
                 head = head_at[size] = max(gain[c + 1:child]) + rise
+            if rise and head == room + 1:
+                # The tie: only a raised entry at room can pass room.
+                row = rows[c]
+                for b in chosen:
+                    x = row[b]
+                    if gain[x] == room and c < x < child:
+                        break
+                else:
+                    head = room
             if head <= room:
                 nodes += child - c
                 if size + 1 < leaf:

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +310,31 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "all reference boards verified" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--props", "4", "--cards", "80"],
+        ["table", "--props", "3", "--from", "3", "--to", "6"],
+        ["count", "--list-lines", str(Path(catalog.__file__).parent / "fixtures" / "twelve_fourteen.board")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exit_code(argv):
+    # The reader of stdout is gone before the command writes, as when
+    # `setmax ... | head` has read its lines: no traceback, no message.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "setmax", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")

@@ -292,3 +292,39 @@ class TestAffineMap:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_affine(AffineMap.identity(3), Board(4, (0, 1)))
+
+
+class TestRecords:
+    """Flat and AffineMap are immutable records: built from their fields,
+    compared, hashed, printed and pickled by them."""
+
+    def test_affine_map_normalises_its_fields(self):
+        m = AffineMap(matrix=((4, 0), (3, 2)), translation=(5, -1))
+        assert (m.matrix, m.translation, m.dim) == (((1, 0), (0, 2)), (2, 2), 2)
+        assert repr(m) == "AffineMap(matrix=((1, 0), (0, 2)), translation=(2, 2))"
+        with pytest.raises(ValueError, match="2x2"):
+            AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0))
+
+    @pytest.mark.parametrize(
+        "record,same,other,fields",
+        [
+            (geometry.Flat(frozenset((40,)), 0), geometry.Flat(cards=frozenset({40}), rank=0),
+             geometry.Flat(frozenset((41,)), 0), ("cards", "rank")),
+            (AffineMap.identity(3), AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 4)), (3, 0, 0)),
+             AffineMap.translation_by((0, 0, 1)), ("matrix", "translation")),
+        ],
+        ids=["Flat", "AffineMap"],
+    )
+    def test_value_semantics(self, record, same, other, fields):
+        import copy
+        import pickle
+
+        assert record == same and hash(record) == hash(same) and repr(record) == repr(same)
+        assert record != other and record != tuple(getattr(record, f) for f in fields)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == same

@@ -87,6 +87,9 @@ def test_count_loads_only_counting_and_geometry():
     assert out == "14\n"
     assert {m for m in modules if m.startswith("setmax")} == {"setmax", "setmax.cli", "setmax.counting",
                                                              "setmax.geometry"}
+    # geometry's records are plain classes: dataclasses would pull in
+    # inspect and its own imports.
+    assert "dataclasses" not in modules
 
 
 def test_first_pool_loads_the_pool_machinery():
