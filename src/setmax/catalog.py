@@ -98,7 +98,7 @@ def fixture(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}")
 
 
-def _check_extra_lines(results: list[StructuralResult]) -> None:
+def _check_extra_lines() -> tuple[bool, str]:
     board = fixture("twelve_fourteen").board
     square = Board(board.dim, board.cards[:9])
     extra = sorted(set(list_sets(board)) - set(list_sets(square)))
@@ -109,29 +109,17 @@ def _check_extra_lines(results: list[StructuralResult]) -> None:
             (((0, 0, 2, 0)), ((0, 1, 2, 0)), ((0, 2, 2, 0))),
         )
     )
-    results.append(
-        StructuralResult(
-            "twelve_fourteen_extra_lines",
-            extra == want,
-            f"lines beyond the nine-card square: {extra}",
-        )
-    )
+    return extra == want, f"lines beyond the nine-card square: {extra}"
 
 
-def _check_embedded_square(results: list[StructuralResult]) -> None:
+def _check_embedded_square() -> tuple[bool, str]:
     board = fixture("twelve_fourteen").board
     first9 = board.cards[:9]
     ok = len(first9) == 9 and geometry.is_closed_under_completion(first9, board.dim)
-    results.append(
-        StructuralResult(
-            "twelve_fourteen_embedded_square",
-            ok,
-            "first nine cards are closed under third-card completion",
-        )
-    )
+    return ok, "first nine cards are closed under third-card completion"
 
 
-def _check_skew_closure(results: list[StructuralResult]) -> None:
+def _check_skew_closure() -> tuple[bool, str]:
     from itertools import combinations
 
     board = fixture("magic_square_skew").board
@@ -143,27 +131,24 @@ def _check_skew_closure(results: list[StructuralResult]) -> None:
         if set(geometry.span_flat(triple, board.dim).cards) != cards:
             ok = False
             break
-    results.append(
-        StructuralResult(
-            "magic_square_skew_closure",
-            ok,
-            "every non-collinear triple spans the same nine cards",
-        )
-    )
+    return ok, "every non-collinear triple spans the same nine cards"
 
 
-def _check_eight_regular(results: list[StructuralResult]) -> None:
+def _check_eight_regular() -> tuple[bool, str]:
     board = fixture("eight_eight").board
     lines = list_sets(board)
     per_card = {c: sum(1 for ln in lines if c in ln) for c in board.cards}
     ok = len(lines) == 8 and all(v == 3 for v in per_card.values())
-    results.append(
-        StructuralResult(
-            "eight_eight_regular",
-            ok,
-            f"each of the 8 cards lies on exactly 3 of its {len(lines)} sets",
-        )
-    )
+    return ok, f"each of the 8 cards lies on exactly 3 of its {len(lines)} sets"
+
+
+# The structural checks, by the name each reports under, in report order.
+_CHECKS = (
+    ("twelve_fourteen_extra_lines", _check_extra_lines),
+    ("twelve_fourteen_embedded_square", _check_embedded_square),
+    ("magic_square_skew_closure", _check_skew_closure),
+    ("eight_eight_regular", _check_eight_regular),
+)
 
 
 def verify_all() -> CatalogReport:
@@ -175,9 +160,5 @@ def verify_all() -> CatalogReport:
         fixture_results.append(
             FixtureResult(f.name, f.expected_sets, fast, fast == slow == f.expected_sets)
         )
-    checks: list[StructuralResult] = []
-    _check_extra_lines(checks)
-    _check_embedded_square(checks)
-    _check_skew_closure(checks)
-    _check_eight_regular(checks)
+    checks = [StructuralResult(name, *check()) for name, check in _CHECKS]
     return CatalogReport(fixture_results, checks)

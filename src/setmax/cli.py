@@ -4,10 +4,14 @@ run the greedy heuristic, and verify the shipped reference boards.
 Card syntax everywhere is 0-based digits, e.g. `0,1,2,0`.  Exit codes:
 0 success, 2 parse failure or a path that cannot be read or written,
 3 verification mismatch, 4 budget exceeded, 5 checkpoint corruption,
-141 stdout closed by its reader (as a shell reports a SIGPIPE death).
+130 Ctrl-C outside a search's walk (a walk returns its result so far),
+141 stdout closed by its reader; 130 and 141 are what a shell reports for
+a SIGINT or SIGPIPE death.
 
-Each command imports its engine when it runs, so `setmax count` loads
-neither the search nor the catalog.
+Commands raise their errors; `main` alone turns each one into its message
+on stderr and its exit code, and lets an error of any other type
+propagate with its traceback.  Each command imports its engine when it
+runs, so `setmax count` loads neither the search nor the catalog.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 EXIT_CHECKPOINT = 5
+EXIT_INTERRUPT = 130  # 128 + SIGINT
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
 THREADS_ENV = "SET_SEARCH_THREADS"
@@ -38,20 +43,6 @@ def _default_threads() -> int:
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
     return value
-
-
-@contextmanager
-def _writing():
-    """Guard a command's file output: an OSError (a path that cannot be
-    written) ends the command with the error on stderr and exit code 2,
-    as argparse ends a bad command line.  A closed stdout is left to main."""
-    try:
-        yield
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
 
 
 def _output(path):
@@ -121,11 +112,7 @@ def _cmd_count(args) -> int:
     from .counting import Board, count_sets, count_sets_bruteforce, list_sets
     from .geometry import decode_card
 
-    try:
-        board = Board.parse_file(args.board_file, dim=args.props)
-    except (ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    board = Board.parse_file(args.board_file, dim=args.props)
     count = count_sets_bruteforce(board) if args.oracle else count_sets(board)
     print(count)
     if args.list_lines:
@@ -152,30 +139,20 @@ def _print_search_result(result, symmetry: bool) -> None:
 def _cmd_search(args) -> int:
     from . import search
 
-    try:
-        if args.resume and args.checkpoint is None:
-            raise ValueError("--resume requires --checkpoint")
-        config = search.SearchConfig(
-            dim=args.props,
-            n=args.cards,
-            mode=args.mode,
-            symmetry=args.symmetry,
-            threads=args.threads if args.threads is not None else _default_threads(),
-            checkpoint_path=args.checkpoint,
-            report_interval=args.report_interval,
-            naive_budget=search.DEFAULT_NAIVE_BUDGET if args.budget is None else args.budget,
-            stop_after_nodes=args.stop_after_nodes,
-        )
-        result = (search.resume_checkpoint if args.resume else search.run_search)(config)
-    except search.BudgetExceededError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_BUDGET
-    except search.CheckpointError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    if args.resume and args.checkpoint is None:
+        raise ValueError("--resume requires --checkpoint")
+    config = search.SearchConfig(
+        dim=args.props,
+        n=args.cards,
+        mode=args.mode,
+        symmetry=args.symmetry,
+        threads=args.threads if args.threads is not None else _default_threads(),
+        checkpoint_path=args.checkpoint,
+        report_interval=args.report_interval,
+        naive_budget=search.DEFAULT_NAIVE_BUDGET if args.budget is None else args.budget,
+        stop_after_nodes=args.stop_after_nodes,
+    )
+    result = (search.resume_checkpoint if args.resume else search.run_search)(config)
     _print_search_result(result, config.mode == "pruned" and config.symmetry)
     return EXIT_OK
 
@@ -191,32 +168,24 @@ def _write_pretty(rows, out) -> None:
 def _cmd_table(args) -> int:
     from . import search
 
-    try:
-        threads = args.threads if args.threads is not None else _default_threads()
-        # Refuse a bad table before its destination is opened.
-        search.table_configs(args.props, args.n_from, args.n_to, threads=threads)
-        with _writing(), _output(args.out) as out:
-            rows = search.run_table(args.props, args.n_from, args.n_to, None if args.pretty else out, threads=threads)
-            if args.pretty:
-                _write_pretty(rows, out)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    threads = args.threads if args.threads is not None else _default_threads()
+    # Refuse a bad table before its destination is opened.
+    search.table_configs(args.props, args.n_from, args.n_to, threads=threads)
+    with _output(args.out) as out:
+        rows = search.run_table(args.props, args.n_from, args.n_to, None if args.pretty else out, threads=threads)
+        if args.pretty:
+            _write_pretty(rows, out)
     return EXIT_OK
 
 
 def _cmd_cmm(args) -> int:
     from . import heuristics
 
-    try:
-        trace = heuristics.cmm_run(args.props, args.upto)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    with _writing(), _output(args.out) as f:
+    trace = heuristics.cmm_run(args.props, args.upto)
+    with _output(args.out) as f:
         trace.write_csv(f)
     if args.board_out is not None:
-        with _writing(), open(args.board_out, "w", encoding="utf-8") as f:
+        with open(args.board_out, "w", encoding="utf-8") as f:
             f.write(trace.final_board.to_text())
     return EXIT_OK
 
@@ -238,7 +207,7 @@ def _cmd_verify(args) -> int:
         if args.json_out == "-":
             print(payload)
         else:
-            with _writing(), open(args.json_out, "w", encoding="utf-8") as f:
+            with open(args.json_out, "w", encoding="utf-8") as f:
                 f.write(payload + "\n")
     if not report.ok:
         return EXIT_VERIFY
@@ -250,22 +219,16 @@ def _cmd_fixtures(args) -> int:
     from . import catalog
 
     if args.show is not None:
-        try:
-            f = catalog.fixture(args.show)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return EXIT_PARSE
-        sys.stdout.write(f.board.to_text())
+        sys.stdout.write(catalog.fixture(args.show).board.to_text())
         return EXIT_OK
     if args.export is not None:
-        with _writing():
-            os.makedirs(args.export, exist_ok=True)
-            for f in catalog.fixtures():
-                path = os.path.join(args.export, f"{f.name}.board")
-                with open(path, "w", encoding="utf-8") as fp:
-                    fp.write(f"# {f.description}\n")
-                    fp.write(f.board.to_text())
-                print(path)
+        os.makedirs(args.export, exist_ok=True)
+        for f in catalog.fixtures():
+            path = os.path.join(args.export, f"{f.name}.board")
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(f"# {f.description}\n")
+                fp.write(f.board.to_text())
+            print(path)
         return EXIT_OK
     for f in catalog.fixtures():
         print(f"{f.name:20s} {len(f.board):3d} cards  {f.expected_sets:3d} sets  {f.description}")
@@ -282,6 +245,22 @@ _HANDLERS = {
 }
 
 
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of a command error, or None for an error of no known
+    type (a bug, which keeps its traceback)."""
+    # A search error was raised by a loaded setmax.search; reading it from
+    # sys.modules keeps the other commands from importing the search.
+    search = sys.modules.get(f"{__package__}.search")
+    if search is not None:
+        if isinstance(exc, search.BudgetExceededError):
+            return EXIT_BUDGET
+        if isinstance(exc, search.CheckpointError):
+            return EXIT_CHECKPOINT
+    if isinstance(exc, (ValueError, OSError, KeyError)):
+        return EXIT_PARSE
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -292,6 +271,16 @@ def main(argv=None) -> int:
         # at devnull so that the flush at exit fails no more.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except KeyboardInterrupt:
+        # Ctrl-C outside a search's walk; inside, the walk returns its
+        # result so far.
+        return EXIT_INTERRUPT
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        # A KeyError's str() is the repr of its text.
+        print(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc, file=sys.stderr)
     return code
 
 

@@ -707,21 +707,18 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_witness(plan: _Plan, witness) -> None:
-    """A saved witness is a board of the walk: plan.size cards."""
+def _witness_board(plan: _Plan, witness) -> Board | None:
+    """The board of a saved witness, which must be a board of the walk:
+    a list of plan.size distinct cards of the deck (None stays None)."""
     if witness is None:
-        return
-    deck = 3 ** plan.dim
-    size = plan.size
-    if (
-        not isinstance(witness, list)
-        or len(witness) != size
-        or not all(_is_int(x) and 0 <= x < deck for x in witness)
-        or len(set(witness)) != size
-    ):
-        raise CheckpointError(
-            f"checkpoint witness {witness!r} is not {size} distinct cards in [0, {deck})"
-        )
+        return None
+    refusal = f"checkpoint witness {witness!r} is not {plan.size} distinct cards in [0, {3 ** plan.dim})"
+    if not isinstance(witness, list) or len(witness) != plan.size:
+        raise CheckpointError(refusal)
+    try:
+        return Board(plan.dim, witness)
+    except ValueError as exc:
+        raise CheckpointError(f"{refusal}: {exc}") from None
 
 
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
@@ -773,11 +770,10 @@ def _check_units(plan: _Plan, units) -> None:
                 raise CheckpointError(f"checkpoint {field} {state[field]!r} is not an integer")
         if not 0 <= state["pruned"] <= state["nodes"]:
             raise CheckpointError(f"checkpoint unit {key} counts {state['pruned']} prunes of {state['nodes']} nodes")
-        witness = state["witness"]
-        _check_witness(plan, witness)
+        board = _witness_board(plan, state["witness"])
         # A walk's best is -1 until it scores a board, and from then on the
         # score of its witness, a walked board (see _plan).
-        score = -1 if witness is None else plan.offset + plan.step * count_sets(Board(plan.dim, witness))
+        score = -1 if board is None else plan.offset + plan.step * count_sets(board)
         if state["best"] != score:
             raise CheckpointError(f"checkpoint unit {key} has best {state['best']}, but its witness scores {score}")
 

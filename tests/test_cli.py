@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -104,6 +105,42 @@ class TestSearch:
         path = tmp_path / "missing" / "run.ckpt"
         code, out, err = run(capsys, "search", "--props", "3", "--cards", "8", "--checkpoint", str(path))
         assert code == cli.EXIT_PARSE and out == "" and str(path) in err
+
+    def test_failed_checkpoint_save_exit_code(self, capsys, tmp_path, monkeypatch):
+        # A save that fails as on a full disk or a deleted folder.
+        path = tmp_path / "run.ckpt"
+
+        def full_disk(cp, p):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(p))
+
+        monkeypatch.setattr(search, "checkpoint_save", full_disk)
+        code, out, err = run(capsys, "search", "--props", "3", "--cards", "8", "--threads", "1",
+                             "--checkpoint", str(path))
+        assert code == cli.EXIT_PARSE and out == "" and str(path) in err
+
+    def test_interrupt_before_the_walk_exit_code(self, capsys, monkeypatch):
+        # A Ctrl-C that lands before the walk starts, here while it is planned.
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "_plan", interrupted)
+        code, out, err = run(capsys, "search", "--props", "3", "--cards", "10", "--threads", "1")
+        assert (code, out, err) == (cli.EXIT_INTERRUPT, "", "")
+
+    def test_interrupt_inside_the_walk_prints_the_result_so_far(self, capsys, monkeypatch):
+        # A Ctrl-C that lands in the second unit's walk.
+        walked = []
+        real_walk = search._dfs_segment
+
+        def walk(*args, **kwargs):
+            walked.append(1)
+            if len(walked) == 2:
+                raise KeyboardInterrupt
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_dfs_segment", walk)
+        code, out, err = run(capsys, "search", "--props", "3", "--cards", "10", "--threads", "1")
+        assert code == cli.EXIT_OK and err == "" and "complete: false" in out
 
     def test_resume_without_checkpoint_flag(self, capsys):
         code, _, err = run(capsys, "search", "--props", "3", "--cards", "10", "--resume")
@@ -299,6 +336,16 @@ class TestFixtures:
         path.write_text("not a directory\n")
         code, out, err = run(capsys, "fixtures", "--export", str(path))
         assert code == cli.EXIT_PARSE and out == "" and str(path) in err
+
+
+def test_unexpected_error_propagates(capsys, monkeypatch):
+    # An error of no mapped type is a bug: it keeps its traceback.
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.main(["verify"])
 
 
 def test_module_entry_point_smoke():
