@@ -81,7 +81,6 @@ import signal
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 
 from . import geometry
@@ -130,6 +129,8 @@ class SearchConfig:
             raise ValueError(f"board size must be an integer in [3, {deck}], got {self.n!r}")
         if self.mode not in ("naive", "pruned"):
             raise ValueError(f"mode must be 'naive' or 'pruned', got {self.mode!r}")
+        if not isinstance(self.symmetry, bool):
+            raise ValueError(f"symmetry must be a boolean, got {self.symmetry!r}")
         if not _is_int(self.threads) or self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
         interval = self.report_interval
@@ -139,8 +140,6 @@ class SearchConfig:
             raise ValueError(f"stop_after_nodes must be None or an integer >= 0, got {self.stop_after_nodes!r}")
         if not _is_int(self.naive_budget) or self.naive_budget < 0:
             raise ValueError(f"naive_budget must be an integer >= 0, got {self.naive_budget!r}")
-        if self.mode == "naive" and self.checkpoint_path is not None:
-            raise ValueError("checkpointing is only supported in pruned mode")
 
 
 @dataclass
@@ -170,10 +169,15 @@ def bound_remaining(current_size: int, target_n: int) -> int:
     every new set pairs it with two existing cards, and two sets through
     the same new card cannot share an existing card.  Summing that per
     growth step never undercounts, so pruning with it stays exact.
+
+    The sum is S(n) - S(a), where S(k) = sum(m // 2 for m in range(k)) =
+    (k - 1)**2 // 4 for every k >= 0, by induction: S(0) = 1 // 4 = 0, and
+    k**2 // 4 - (k - 1)**2 // 4 is j**2 - (j**2 - j) = j for k = 2j and
+    (j**2 + j) - j**2 = j for k = 2j + 1, which is k // 2 = S(k + 1) - S(k).
     """
-    if current_size > target_n:
-        raise ValueError(f"current size {current_size} exceeds target {target_n}")
-    return sum(m // 2 for m in range(current_size, target_n))
+    if not 0 <= current_size <= target_n:
+        raise ValueError(f"current size {current_size} is outside [0, target {target_n}]")
+    return (target_n - 1) ** 2 // 4 - (current_size - 1) ** 2 // 4
 
 
 def search_space(dim: int, n: int) -> int:
@@ -213,11 +217,7 @@ def _plan(config: SearchConfig) -> _Plan:
     if pruned and 3 <= k < n:
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
         return _Plan(dim, k, base, len(base), offset, -1, (0,) * k)
-    if pruned:
-        # slack[size] = bound_remaining(size + 1, n), as a suffix sum.
-        slack = tuple(accumulate((m // 2 for m in range(n - 1, 0, -1)), initial=0))[::-1]
-    else:
-        slack = (geometry.line_count(dim),) * n
+    slack = tuple(bound_remaining(size + 1, n) for size in range(n)) if pruned else (geometry.line_count(dim),) * n
     return _Plan(dim, n, base, len(base), 0, 1, slack)
 
 
@@ -242,9 +242,9 @@ def _dfs_segment(
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
     on_progress=None,
-) -> bool:
+) -> None:
     """Advance the depth-first walk described by `state` until the subtree is
-    exhausted (returns True) or a stop trigger fires (returns False).
+    exhausted or a stop trigger fires, and return None: _exhausted tells which.
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
@@ -356,7 +356,6 @@ def _dfs_segment(
             stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
         )
 
-    finished = False
     while True:
         if nodes >= next_check:
             # The frontier (stack, c) is saved before candidate c is
@@ -391,7 +390,6 @@ def _dfs_segment(
 
         if c >= limit:
             if size == base_len:
-                finished = True
                 break
             gain = gain_stack.pop()
             c = chosen.pop()
@@ -438,7 +436,6 @@ def _dfs_segment(
         head_at[size + 1] = None
         c += 1
     _leave()
-    return finished
 
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
@@ -461,7 +458,7 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
 
 
 def checkpoint_load(path) -> Checkpoint:
-    """Read a checkpoint naming a valid pruned search whose plan is the one
+    """Read a checkpoint naming a valid search whose plan is the one
     this build would run, and whose every unit holds a frontier that unit's
     walk could have left (else CheckpointError)."""
     try:
@@ -489,10 +486,8 @@ def checkpoint_load(path) -> Checkpoint:
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} is missing field {exc}") from exc
-    if not isinstance(cp.symmetry, bool):
-        raise CheckpointError(f"checkpoint symmetry {cp.symmetry!r} is not a boolean")
     try:
-        config = SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry, checkpoint_path=str(path))
+        config = SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} describes no valid search: {exc}") from exc
     saved = payload.get("plan")
@@ -569,11 +564,19 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     str(u); a unit not there starts afresh) and merge the units.  No unit
     starts after a stop or an interrupt, and each unit stops at the node
     budget left when it starts.  The unit map is saved at the end and at the
-    first stop check or unit end a report_interval after the last save; a
-    checkpoint path that cannot be written (a directory, or a file in a
-    missing or read-only directory) is refused with ValueError before any
-    unit starts."""
+    first stop check or unit end a report_interval after the last save.
+    Before any unit starts, a naive search over its budget is refused with
+    BudgetExceededError, and a checkpoint path that cannot be written (a
+    directory, or a file in a missing or read-only directory) with ValueError."""
     t0 = time.monotonic()
+    if config.mode == "naive":
+        estimate = search_space(config.dim, config.n)
+        if estimate > config.naive_budget:
+            raise BudgetExceededError(
+                f"naive search would need about {estimate:.3e} triple-checks, over the "
+                f"budget of {config.naive_budget:.3e}; use the pruned engine instead",
+                estimate,
+            )
     path = config.checkpoint_path
     if path is not None:
         folder = os.path.dirname(os.path.abspath(path))
@@ -671,18 +674,12 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
 def max_sets_naive(config: SearchConfig) -> SearchResult:
     """Exact maximum by enumerating every n-card board in lexicographic order.
 
-    Refuses instances whose estimated triple-check count exceeds the budget;
-    the witness is the lexicographically first maximizer.
+    It runs as every search does, under the plan that prunes nothing; it and
+    its resumes refuse instances whose estimated triple-check count exceeds
+    the budget.  The witness is the lexicographically first maximizer.
     """
     if config.mode != "naive":
         raise ValueError("max_sets_naive requires mode='naive'")
-    estimate = search_space(config.dim, config.n)
-    if estimate > config.naive_budget:
-        raise BudgetExceededError(
-            f"naive search would need about {estimate:.3e} triple-checks, over the "
-            f"budget of {config.naive_budget:.3e}; use the pruned engine instead",
-            estimate,
-        )
     return _run(config)
 
 
@@ -698,9 +695,7 @@ def max_sets_pruned(config: SearchConfig) -> SearchResult:
 
 
 def run_search(config: SearchConfig) -> SearchResult:
-    if config.mode == "naive":
-        return max_sets_naive(config)
-    return max_sets_pruned(config)
+    return _run(config)
 
 
 def _is_int(v) -> bool:
@@ -727,8 +722,9 @@ _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 def _check_units(plan: _Plan, units) -> None:
     """Reject a unit map the run could not have saved: each key must name a
     work unit u of this search and hold a frontier of u's walk, whose stack
-    starts at u or is empty with next card u or u + 1, whose best is the
-    score of its witness (-1 with none), and whose 0 <= pruned <= nodes.
+    starts at u and holds a candidate of each level, or is empty with next
+    card u or u + 1, whose best is the score of its witness (-1 with none),
+    and whose 0 <= pruned <= nodes.
 
     A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
@@ -761,6 +757,9 @@ def _check_units(plan: _Plan, units) -> None:
             raise CheckpointError(
                 f"checkpoint unit {key} holds no frontier of its walk: stack {stack!r}, next_card {c!r}"
             )
+        for level, x in enumerate(stack, len(plan.base)):
+            if x >= plan.limit(level):
+                raise CheckpointError(f"checkpoint stack card {x} is past the end {plan.limit(level)} of level {level}")
         first = stack[-1] + 1 if stack else u
         limit = plan.limit(len(plan.base) + len(stack))
         if not _is_int(c) or not first <= c <= limit:

@@ -147,11 +147,20 @@ class TestBoundRemaining:
         with pytest.raises(ValueError):
             bound_remaining(8, 7)
 
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError):
+            bound_remaining(-1, 7)
+
+    def test_closed_form_is_the_defining_sum(self):
+        for n in range(90):
+            for a in range(n + 1):
+                assert bound_remaining(a, n) == sum(m // 2 for m in range(a, n)), (a, n)
+
     @pytest.mark.parametrize("dim,top", [(3, 13), (5, 39)])
     def test_plan_slack_is_bound_remaining(self, dim, top):
         for n in range(3, top + 1):
             slack = search._plan(SearchConfig(dim=dim, n=n)).slack
-            assert slack == tuple(bound_remaining(size + 1, n) for size in range(n))
+            assert slack == tuple(sum(m // 2 for m in range(size + 1, n)) for size in range(n))
 
 
 class TestConfig:
@@ -165,10 +174,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(dim=3, n=5, mode="fast")
 
-    def test_naive_refuses_checkpointing(self):
-        with pytest.raises(ValueError):
-            SearchConfig(dim=3, n=5, mode="naive", checkpoint_path="x.ckpt")
-
     @pytest.mark.parametrize("threads", [0, -2, 1.5, 2.0, "2", True, None])
     def test_threads_must_be_a_positive_integer(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -178,7 +183,8 @@ class TestConfig:
         "field,value",
         [("stop_after_nodes", v) for v in (-5, "5", 5.0, True)]
         + [("report_interval", v) for v in (0, -1.5, "x", None, True, float("nan"))]
-        + [("naive_budget", v) for v in (-1, "x", 1.5, None, True)],
+        + [("naive_budget", v) for v in (-1, "x", 1.5, None, True)]
+        + [("symmetry", v) for v in ("no", 1, None)],
     )
     def test_numeric_inputs_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -364,7 +370,8 @@ class TestResumeInsideBlocks:
         for u in range(plan.lo, unit):
             seed = max([-1] + [f["best"] for f in units.values()])
             units[str(u)] = search._fresh_state(u)
-            assert search._dfs_segment(plan, units[str(u)], end=u + 1, seed_best=seed)
+            search._dfs_segment(plan, units[str(u)], end=u + 1, seed_best=seed)
+            assert search._exhausted(u, units[str(u)])
         for key in ("nodes", "pruned"):
             st[key] -= sum(f[key] for f in units.values())
         units[str(unit)] = st
@@ -565,6 +572,63 @@ class TestComplementRows:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="plan; fields that differ: size$"):
             resume_search(path)
+
+
+class TestNaiveCheckpoint:
+    """The naive engine is the walk whose plan prunes nothing: it stops and
+    resumes through the same run and file format as the pruned engine, and
+    its plan alone keeps a resume of either mode off the other's file."""
+
+    def _stopped(self, tmp_path, threads=1):
+        path = tmp_path / "naive.ckpt"
+        r = naive(3, 6, threads=threads, checkpoint_path=str(path), stop_after_nodes=50_000)
+        assert not r.complete
+        return path, r
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stop_and_resume_chain(self, tmp_path, threads):
+        ref = naive(3, 6)
+        assert (ref.nodes_visited, ref.configs_pruned) == (376_739, 0)
+        path, r = self._stopped(tmp_path, threads)
+        resumes = 0
+        while not r.complete:
+            r = resume_search(path, threads=threads, stop_after_nodes=r.nodes_visited + 50_000)
+            resumes += 1
+        assert resumes >= 3
+        assert outcome(r) == outcome(ref)
+
+    def test_pruned_resume_refused(self, tmp_path, capsys):
+        path, _ = self._stopped(tmp_path)
+        saved = path.read_bytes()
+        with pytest.raises(CheckpointError, match=r"\(3, 6, 'naive', True\), not \(3, 6, 'pruned', True\)"):
+            search.resume_checkpoint(SearchConfig(3, 6, checkpoint_path=str(path)))
+        code = cli.main(["search", "--props", "3", "--cards", "6", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+        assert path.read_bytes() == saved
+
+    def test_naive_resume_of_pruned_file_refused(self, tmp_path):
+        path = tmp_path / "pruned.ckpt"
+        assert not pruned(3, 6, checkpoint_path=str(path), stop_after_nodes=0).complete
+        code = cli.main(["search", "--props", "3", "--cards", "6", "--mode", "naive", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+
+    def test_naive_plan_differs_from_every_pruned_plan(self):
+        for symmetry in (True, False):
+            plans = {search._plan(SearchConfig(3, 6, mode, symmetry)) for mode in ("naive", "pruned")}
+            assert len(plans) == 2
+
+    def test_resume_over_budget_refused(self, tmp_path, capsys):
+        # Refused before any unit starts, and the file is left as it was.
+        path, _ = self._stopped(tmp_path)
+        saved = path.read_bytes()
+        with pytest.raises(BudgetExceededError) as err:
+            resume_search(path, naive_budget=10)
+        assert err.value.estimate == search_space(3, 6)
+        code = cli.main(["search", "--props", "3", "--cards", "6", "--mode", "naive", "--budget", "10",
+                         "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_BUDGET == 4
+        assert "budget" in capsys.readouterr().err
+        assert path.read_bytes() == saved
 
 
 class TestCheckpoint:
@@ -793,7 +857,7 @@ BAD_FILES = {
     "dim is a string": (lambda p: p["config"].update(dim="x"), "dimension"),
     "n beyond the deck": (lambda p: p["config"].update(n=99), "board size"),
     "n is a float": (lambda p: p["config"].update(n=10.0), "board size"),
-    "mode is naive": (lambda p: p["config"].update(mode="naive"), "pruned mode"),
+    "mode is naive": (lambda p: p["config"].update(mode="naive"), "another walk plan"),
     "symmetry is a string": (lambda p: p["config"].update(symmetry="yes"), "symmetry"),
     "no unit map": (lambda p: p.pop("units"), "missing field 'units'"),
     "stack state lacks pruned": (lambda p: p["units"]["2"].pop("pruned"), "pruned"),
@@ -868,6 +932,8 @@ BAD_UNITS = {
     "nodes negative": ({"2": {**UNIT_2, "nodes": -1}}, "counts 0 prunes of -1 nodes"),
     "pruned negative": ({"2": {**UNIT_2, "pruned": -1}}, "counts -1 prunes of 5 nodes"),
     "pruned above nodes": ({"2": {**UNIT_2, "pruned": 6}}, "counts 6 prunes of 5 nodes"),
+    # 21 ends level 3 (the second card after the base): it is no candidate.
+    "stack card past its level": ({"2": {**UNIT_2, "stack": [2, 21], "next_card": 22}}, "past the end 21 of level 3"),
 }
 
 
