@@ -259,24 +259,23 @@ def _dfs_segment(
     with `state` at the frontier of the last check.
 
     Every candidate c is larger than every chosen card, so it scores
-    cnt + gain[c] (see the module docstring).  Each step of the walk takes
-    the candidates of one level from c on as a block, and leaves best,
-    witness, nodes and pruned exactly as the one-by-one walk would:
+    cnt + gain[c] (see the module docstring).  Each step of the walk enters
+    one level at its next candidate and scans the candidates from there,
+    leaving best, witness, nodes and pruned exactly as the one-by-one walk
+    would:
 
     - At the leaf level every candidate completes a board of n cards and
       counts one node; none is pruned or pushed.  The one-by-one walk
       replaces (best, witness) only on a strict improvement, so its last
-      replacement is at the first candidate reaching the block maximum,
+      replacement is at the first candidate reaching the level maximum,
       and it happens iff cnt + max > best.  The step scores the whole
       level with one max and finds that candidate with gain.index.
-    - At any other level the step counts the run of pruned candidates
-      starting at c, then pushes the first candidate that survives.
-      best_eff changes only when a leaf improves best, and a pruned
-      candidate visits no leaf, so best_eff is constant over the run, as
-      are cnt and the bound of the level.  Candidate x is therefore pruned
-      iff gain[x] < best_eff - bound - cnt, one threshold for the whole
-      run, and the one-by-one walk would count each pruned candidate as
-      one node and one prune.
+    - At any other level the step visits no leaf, and best_eff changes
+      only when a leaf improves best, so best_eff is constant over the
+      step, as are best, cnt and the slacks of the level and its child:
+      the step computes its thresholds once.  Candidate x is pruned iff
+      gain[x] < best_eff - slack - cnt, and the one-by-one walk would
+      count each pruned candidate as one node and one prune.
     - Before it pushes a surviving candidate c, the step bounds c's child
       level from the parent's array, and skips the push when that level
       provably does nothing.  The push adds step to gain[x] for each
@@ -289,38 +288,55 @@ def _dfs_segment(
       level, so a seed never hides a witness); a non-leaf child is pruned
       whole iff every gain'[x] is at most room = best_eff - (its own
       slack) - cnt - gain[c] - 1.  Either way the child does nothing iff
-      no gain'[x] exceeds room.  With rise = max(step, 0), every gain'[x]
-      is at most head = max(gain[f + 1:child limit]) + rise, where f <= c
-      is the first candidate of this level entry that needed it (kept
-      until a push opens the level again; the parent's array does not
-      change in between).  The push is skipped when head <= room, and in
-      the tie head == room + 1 with rise 1 when no chosen b gives an x =
+      no gain'[x] exceeds room, which is the step's room base less
+      gain[c].  With rise = max(step, 0), every gain'[x] is at most
+      head = max(gain[f + 1:child limit]) + rise, where f <= c is the
+      first candidate of this level entry that needed it (kept until a
+      push opens the level again; the parent's array does not change in
+      between).  The push is skipped when head <= room, and in the tie
+      head == room + 1 with rise 1 when no chosen b gives an x =
       third(c, b) with c < x < child limit and gain[x] == room: every
       gain[x] in the range is at most head - 1 = room, so only a raised
       entry at room can pass it, and one raise is all an entry gets.
-      The pretest gain[c + 1] <= room sends only the pushes that could
-      skip to the head.  The min-walk (rise 0) needs no tie test: a push
-      only lowers its entries, so head is the parent's maximum itself,
-      not one above it.  Nor does the naive plan (slack L) at a non-leaf
-      child: there room < best_eff - L <= 0 <= gain[x], so it never
-      skips; at a leaf child it follows the max-walk's rule.  The skip
-      counts what the push, the child's step and the pop would have:
-      child limit - c nodes, of which child limit - c - 1 prunes above a
-      leaf child.
+      Until the level's head is known, the pretest gain[c + 1] <= room
+      sends only the pushes that could skip to the max; once it is known
+      it decides alone, as head >= gain[c + 1] + rise covers the pretest.
+      The min-walk (rise 0) needs no tie test: a push only lowers its
+      entries, so head is the parent's maximum itself, not one above it.
+      Nor does the naive plan (slack L) at a non-leaf child: there room <
+      best_eff - L <= 0 <= gain[x], so it never skips; at a leaf child it
+      follows the max-walk's rule.  The skip counts what the push, the
+      child's step and the pop would have: child limit - c nodes, of
+      which child limit - c - 1 prunes above a leaf child.
+    - The step ends at its first push, at the end of the level, which it
+      pops, or after the first skip that brings nodes to the next check.
+
+    The loop keeps ahead = nodes - c and kept = nodes - pruned in place of
+    the counters: each candidate adds one node as c moves past it, and a
+    pruned one adds a prune too, so a run of pruned candidates changes
+    neither.
 
     The stop trigger is checked between steps, once the node counter has
-    grown by _PROGRESS_EVERY since the last check.  One step adds fewer
-    nodes than the deck has cards, so a stop overshoots stop_after_nodes
-    by less than a deck's worth beyond that check.  The saved frontier
-    is always a step boundary, which is all a resumed run needs; a frontier
-    inside a level, as the one-by-one walk saved it, resumes just as well.
+    grown by _PROGRESS_EVERY since the last check.  A walk whose every
+    step handles one candidate (a push, a skip, or a level's leaves or
+    last prune run with its pop) checks after each push, skip and pop;
+    this one after each push and pop, and after a skip only once nodes
+    has reached the check, the one place the other walk's check fires.
+    Both do the same work in the same order, so their checks fire at the
+    same node counts and a stop leaves the same best, witness and
+    counters.  Only a level that a skip ended is saved differently: this
+    walk pops it first, saving [.., p] with next card p + 1, where the
+    other saved [.., p, q] with next card at the limit of q's level; both
+    resume to the same walk.  A step starts below its check and ends by
+    the first run of prunes, with the skip or push after it, that reaches
+    the check; such a run adds at most child limit - c nodes (a leaf
+    level, fewer than limit), so a stop overshoots stop_after_nodes by
+    less than a deck's worth beyond that check.
     """
     n, base_len = plan.size, len(plan.base)
 
     best = state["best"]
     witness = state["witness"]
-    nodes = state["nodes"]
-    pruned = state["pruned"]
 
     rows = geometry.third_rows(plan.dim)
     step, slack_at = plan.step, plan.slack
@@ -343,31 +359,35 @@ def _dfs_segment(
     best_eff = best if best > seed_best else seed_best
 
     leaf = n - 1
+    size = len(chosen)
     limit_at = list(limit_at)
     limit_at[base_len] = min(limit_at[base_len], end)
     # head_at[size] bounds every gain a push at level size leaves in its
     # child level, from the level's first look-ahead on.
     head_at = [None] * n
 
-    next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
+    next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
+    # nodes = ahead + c and pruned = nodes - kept.
+    ahead = state["nodes"] - c
+    kept = state["nodes"] - state["pruned"]
 
     def _leave():
+        nodes = ahead + c
         state.update(
-            stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=pruned
+            stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept
         )
 
     while True:
-        if nodes >= next_check:
+        if ahead + c >= next_check:
             # The frontier (stack, c) is saved before candidate c is
             # processed, so a resumed run recounts nothing.
-            next_check = nodes + _PROGRESS_EVERY
-            if stop_after_nodes is not None and nodes >= stop_after_nodes:
+            next_check = ahead + c + _PROGRESS_EVERY
+            if stop_after_nodes is not None and ahead + c >= stop_after_nodes:
                 break
             _leave()
             if on_progress is not None:
                 on_progress()
 
-        size = len(chosen)
         limit = limit_at[size]
         if size == leaf:
             if c < limit:
@@ -377,64 +397,67 @@ def _dfs_segment(
                     witness = chosen + [gain.index(top, c)]
                     if best > best_eff:
                         best_eff = best
-                nodes += limit - c
+                kept += limit - c
                 c = limit
         elif c < limit:
-            # Candidate c is pruned iff cnt + gain[c] + slack < best_eff.
+            # Candidate x is pruned iff cnt + gain[x] + slack < best_eff.
             floor = best_eff - slack_at[size] - cnt
-            start = c
-            while c < limit and gain[c] < floor:
+            child = limit_at[size + 1]
+            deep = size + 1 < leaf
+            # Pushing x is skipped when no gain of its child level can
+            # exceed room_at - gain[x].
+            room_at = best_eff - slack_at[size + 1] - cnt - 1 if deep else best - cnt
+            head = head_at[size]
+            while True:
+                while c < limit and gain[c] < floor:
+                    c += 1
+                if c >= limit:
+                    break
+                room = room_at - gain[c]
+                # Card c + 1 lies in the head's range, so this settles most
+                # pushes without the max.
+                if head is None and room >= gain[c + 1]:
+                    head = head_at[size] = max(gain[c + 1:child]) + rise
+                # A skip needs head <= room, or the tie head == room + 1
+                # with rise 1.
+                if head is not None and head <= room + rise:
+                    skip = True
+                    if head > room:
+                        # The tie: only a raised entry at room can pass room.
+                        row = rows[c]
+                        for b in chosen:
+                            x = row[b]
+                            if gain[x] == room and c < x < child:
+                                skip = False
+                                break
+                    if skip:
+                        ahead += child - c - 1
+                        kept += 1 if deep else child - c
+                        c += 1
+                        if ahead + c < next_check:
+                            continue
+                        break
+                kept += 1
+                gain_stack.append(gain)
+                cnt += gain[c]
+                gain = list(gain)
+                add_to_gain(gain, chosen, c, rows, step)
+                size += 1
+                head_at[size] = None
+                limit = child
                 c += 1
-            nodes += c - start
-            pruned += c - start
+                break
 
         if c >= limit:
             if size == base_len:
                 break
+            ahead += c
             gain = gain_stack.pop()
             c = chosen.pop()
             cnt -= gain[c]
+            size -= 1
             c += 1
-            continue
-
-        # Candidate c survives at a level above the leaf: push it unless
-        # its child level can do nothing.
-        child = limit_at[size + 1]
-        score = cnt + gain[c]
-        if size + 1 == leaf:
-            room = best - score
-        else:
-            room = best_eff - slack_at[size + 1] - score - 1
-        # A skip needs head <= room, or the tie head == room + 1 with rise 1.
-        # Card c + 1 lies in the head's range, so this test settles most
-        # pushes without the max.
-        if room >= gain[c + 1]:
-            head = head_at[size]
-            if head is None:
-                head = head_at[size] = max(gain[c + 1:child]) + rise
-            if rise and head == room + 1:
-                # The tie: only a raised entry at room can pass room.
-                row = rows[c]
-                for b in chosen:
-                    x = row[b]
-                    if gain[x] == room and c < x < child:
-                        break
-                else:
-                    head = room
-            if head <= room:
-                nodes += child - c
-                if size + 1 < leaf:
-                    pruned += child - c - 1
-                c += 1
-                continue
-
-        nodes += 1
-        gain_stack.append(gain)
-        cnt = score
-        gain = list(gain)
-        add_to_gain(gain, chosen, c, rows, step)
-        head_at[size + 1] = None
-        c += 1
+            ahead -= c
     _leave()
 
 
@@ -702,18 +725,26 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _witness_board(plan: _Plan, witness) -> Board | None:
-    """The board of a saved witness, which must be a board of the walk:
-    a list of plan.size distinct cards of the deck (None stays None)."""
+def _witness_board(plan: _Plan, u: int, witness) -> Board | None:
+    """The board of a saved witness, which must be a board of work unit u's
+    walk: a list of plan.size distinct cards of the deck, in increasing
+    order, that starts with the base and then u (None stays None)."""
     if witness is None:
         return None
     refusal = f"checkpoint witness {witness!r} is not {plan.size} distinct cards in [0, {3 ** plan.dim})"
     if not isinstance(witness, list) or len(witness) != plan.size:
         raise CheckpointError(refusal)
     try:
-        return Board(plan.dim, witness)
+        board = Board(plan.dim, witness)
     except ValueError as exc:
         raise CheckpointError(f"{refusal}: {exc}") from None
+    first = [*plan.base, u]
+    if witness[: len(first)] != first or any(a >= b for a, b in zip(witness, witness[1:])):
+        raise CheckpointError(
+            f"checkpoint witness {witness!r} is no board of unit {u}'s walk, "
+            f"which holds increasing cards that start {first}"
+        )
+    return board
 
 
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
@@ -723,8 +754,9 @@ def _check_units(plan: _Plan, units) -> None:
     """Reject a unit map the run could not have saved: each key must name a
     work unit u of this search and hold a frontier of u's walk, whose stack
     starts at u and holds a candidate of each level, or is empty with next
-    card u or u + 1, whose best is the score of its witness (-1 with none),
-    and whose 0 <= pruned <= nodes.
+    card u or u + 1, whose witness is none or a board of u's walk, whose
+    best is the score of its witness (-1 with none), and whose
+    0 <= pruned <= nodes.
 
     A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
@@ -769,7 +801,7 @@ def _check_units(plan: _Plan, units) -> None:
                 raise CheckpointError(f"checkpoint {field} {state[field]!r} is not an integer")
         if not 0 <= state["pruned"] <= state["nodes"]:
             raise CheckpointError(f"checkpoint unit {key} counts {state['pruned']} prunes of {state['nodes']} nodes")
-        board = _witness_board(plan, state["witness"])
+        board = _witness_board(plan, u, state["witness"])
         # A walk's best is -1 until it scores a board, and from then on the
         # score of its witness, a walked board (see _plan).
         score = -1 if board is None else plan.offset + plan.step * count_sets(board)
@@ -779,9 +811,9 @@ def _check_units(plan: _Plan, units) -> None:
 
 def _resume(config: SearchConfig, cp: Checkpoint) -> SearchResult:
     """Continue the search of checkpoint `cp` as `config` asks, which must
-    name the file's search (else CheckpointError)."""
+    walk the file's plan (else CheckpointError)."""
     saved, asked = ((c.dim, c.n, c.mode, c.symmetry) for c in (cp, config))
-    if saved != asked:
+    if _plan(SearchConfig(*saved)) != _plan(config):
         raise CheckpointError(
             f"checkpoint {config.checkpoint_path} holds the search (dim, n, mode, symmetry) = {saved}, not {asked}"
         )
@@ -790,8 +822,10 @@ def _resume(config: SearchConfig, cp: Checkpoint) -> SearchResult:
 
 def resume_checkpoint(config: SearchConfig) -> SearchResult:
     """Continue the search `config` from its checkpoint_path to completion
-    (or the next stop), at config.threads workers.  The file must hold that
-    search, (dim, n, mode, symmetry) alike, else CheckpointError.
+    (or the next stop), at config.threads workers.  The file must hold a
+    search of the same walk plan, else CheckpointError: (dim, n, mode,
+    symmetry) alike, except that a naive search, whose plan ignores the
+    symmetry flag, resumes under either.
 
     A run resumed any number of times ends with the same maximum and
     witness as an uninterrupted one, and at one worker with the same

@@ -41,13 +41,15 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
     candidates of each level one by one.  Runs to the end, or until
     `stop_at` nodes are counted, and returns the state the engine saves:
     the frontier (stack, next_card) and best, witness, nodes, pruned.
+    An `at` dict, keyed by node counts, receives under each key it
+    passes the state the walk would return with that stop_at.
     A `stats` dict receives the number of pushes under "pushes", and
     under "idle" the number of idle pushes: those whose child level makes
     no push and does not raise best.
@@ -89,6 +91,9 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     pushes = idle = 0
     c = len(base)
     while nodes != stop_at:
+        if at is not None and nodes in at and at[nodes] is None:
+            at[nodes] = {"stack": list(stack), "next_card": c, "best": best, "witness": witness,
+                         "nodes": nodes, "pruned": pruned}
         limit = deck - (need - len(stack) - 1)
         if c >= limit:
             if not stack:
@@ -308,6 +313,31 @@ class TestReferenceWalk:
         assert made < stats["pushes"]
         assert made - (stats["pushes"] - stats["idle"]) < stats["idle"] / 4
 
+    @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11), (3, 18)])
+    def test_every_check_sees_the_reference_frontier(self, dim, n):
+        # At each progress check of unit 2 (the first, unseeded one) the
+        # engine's frontier is the one-by-one walk's at the same node
+        # count, once levels whose next card has reached their limit are
+        # popped: however the engine groups candidates into steps, it
+        # checks only between whole candidates, never inside a push.
+        plan = search._plan(SearchConfig(dim, n))
+        state = search._fresh_state(2)
+        seen = []
+        search._dfs_segment(plan, state, end=3, on_progress=lambda: seen.append(json.loads(json.dumps(state))))
+        assert len(seen) >= 8
+        at = dict.fromkeys(st["nodes"] for st in seen)
+        reference_walk(dim, n, stop_at=seen[-1]["nodes"] + 1, at=at)
+        assert at[seen[0]["nodes"]] == reference_walk(dim, n, stop_at=seen[0]["nodes"])
+
+        def popped(st):
+            stack, c = list(st["stack"]), st["next_card"]
+            while stack and c >= plan.limit(len(plan.base) + len(stack)):
+                c = stack.pop() + 1
+            return {**st, "stack": stack, "next_card": c}
+
+        for st in seen:
+            assert popped(st) == popped(at[st["nodes"]])
+
     def test_d7_takes_only_the_thirds_it_needs(self):
         # d=7 is above the built pair table: a push reads its few thirds
         # from rows composed of two smaller built tables.
@@ -359,13 +389,15 @@ class TestResumeInsideBlocks:
     def test_resume_from_reference_frontier(self, tmp_path, stop, kind):
         # A frontier the one-by-one walk saves mid-block, as an older
         # checkpoint would hold it, resumes to the uninterrupted result.
-        # It goes under its unit, after the units before it walked whole;
-        # it keeps the walk's best so far, which seeds its unit as the
-        # best of those units would.
+        # It goes under its unit, after the units before it walked whole.
         st = reference_walk(4, 7, stop_at=stop)
         assert _frontier_kind(4, 7, st) == kind
         plan = search._plan(SearchConfig(4, 7))
         unit = st["stack"][0]
+        if st["witness"][2] != unit:
+            # A unit's best is its own; one an earlier unit reached comes
+            # back as the seed.
+            st.update(best=-1, witness=None)
         units = {}
         for u in range(plan.lo, unit):
             seed = max([-1] + [f["best"] for f in units.values()])
@@ -596,6 +628,25 @@ class TestNaiveCheckpoint:
             resumes += 1
         assert resumes >= 3
         assert outcome(r) == outcome(ref)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_resume_under_either_symmetry_flag(self, tmp_path, threads):
+        # The naive plan ignores the flag, so each resume may flip it.
+        ref = naive(3, 6)
+        path = tmp_path / "naive.ckpt"
+        r = naive(3, 6, symmetry=False, threads=threads, checkpoint_path=str(path), stop_after_nodes=50_000)
+        symmetry = False
+        while not r.complete:
+            symmetry = not symmetry
+            config = SearchConfig(3, 6, "naive", symmetry, threads, str(path), stop_after_nodes=r.nodes_visited + 50_000)
+            r = search.resume_checkpoint(config)
+        assert outcome(r) == outcome(ref)
+
+    def test_pruned_resume_under_the_other_symmetry_flag_refused(self, tmp_path):
+        path = tmp_path / "pruned.ckpt"
+        assert not pruned(3, 6, checkpoint_path=str(path), stop_after_nodes=0).complete
+        with pytest.raises(CheckpointError, match=r"\(3, 6, 'pruned', True\), not \(3, 6, 'pruned', False\)"):
+            search.resume_checkpoint(SearchConfig(3, 6, symmetry=False, checkpoint_path=str(path)))
 
     def test_pruned_resume_refused(self, tmp_path, capsys):
         path, _ = self._stopped(tmp_path)
@@ -934,6 +985,12 @@ BAD_UNITS = {
     "pruned above nodes": ({"2": {**UNIT_2, "pruned": 6}}, "counts 6 prunes of 5 nodes"),
     # 21 ends level 3 (the second card after the base): it is no candidate.
     "stack card past its level": ({"2": {**UNIT_2, "stack": [2, 21], "next_card": 22}}, "past the end 21 of level 3"),
+    # A board of unit 3's walk, with its own score.
+    "witness of another unit's walk": (
+        {"2": {**UNIT_2, "witness": [0, 1, 3, 6, 9, 12, 15, 18, 21, 24]}},
+        "no board of unit 2's walk",
+    ),
+    "witness out of order": ({"2": {**UNIT_2, "witness": [0, 1, 2, 4, 3, 5, 6, 7, 8, 9]}}, "no board of unit 2's walk"),
 }
 
 
