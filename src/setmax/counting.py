@@ -5,11 +5,20 @@ that count_sets, the search and the greedy trace all read.  count_sets
 adds a board's cards one at a time and counts each set once, at its last
 card; count_sets_bruteforce enumerates all card triples and exists purely
 as a cross-check oracle.  Boards are immutable once constructed.
+
+count_sets_bruteforce and list_sets are table-free: neither reads
+geometry.third_rows or add_to_gain, so a fault in the table or the gain
+array cannot hide in a recount.  Both decode each card once into packed
+digits, one base-3 digit per _FIELD-bit field (see _pack), and then test
+whole cards with a few integer operations: the oracle adds three packed
+cards and asks whether every field sum is 0, 3 or 6, and the lister
+computes the third card of a pair in all fields at once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import functools
+from itertools import combinations, product
 
 from . import geometry
 
@@ -130,7 +139,12 @@ class Board:
         return iter(self.cards)
 
     def __contains__(self, card) -> bool:
-        return isinstance(card, int) and 0 <= card and self.mask >> card & 1 == 1
+        return (
+            isinstance(card, int)
+            and not isinstance(card, bool)
+            and 0 <= card
+            and self.mask >> card & 1 == 1
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,24 +175,75 @@ def count_sets(board: Board) -> int:
     return total
 
 
-def list_sets(board: Board) -> list[tuple[int, int, int]]:
-    """The sets in the board, materialized as sorted card triples."""
-    cards = board.cards
-    mask = board.mask
+# Bits per packed digit field.  A field holds at most 5 + 6 = 11 in
+# list_sets and 6 in count_sets_bruteforce, so 4 bits never carry.
+_FIELD = 4
+
+
+def _pack(digits) -> int:
+    """One int holding each value of `digits` in its own _FIELD-bit field,
+    the first value in the highest field."""
+    p = 0
+    for v in digits:
+        p = p << _FIELD | v
+    return p
+
+
+def _packed_cards(board: Board) -> list[int]:
+    """The board's cards in packed digits, in board order."""
     d = board.dim
+    return [_pack(geometry.decode_card(c, d)) for c in board.cards]
+
+
+@functools.lru_cache(maxsize=None)
+def _line_sums(d: int) -> frozenset[int]:
+    """The packed sums of the d-digit lines: every field is 0, 3 or 6."""
+    return frozenset(map(_pack, product((0, 3, 6), repeat=d)))
+
+
+def list_sets(board: Board) -> list[tuple[int, int, int]]:
+    """The sets in the board, as sorted card triples in (a, b) pair order.
+
+    Each pair a < b is completed digit by digit, in packed digits.  With
+    `ones` the int holding 1 in each field, x = 6 * ones - pa - pb holds
+    6 - a_i - b_i, in 2..6, in field i: no field borrows, since 6 is at
+    least a_i + b_i.  Twice, subtract 3 from each field that is at least
+    3: a field f <= 6 plus 5 stays below 16 and sets its bit 3 iff f >= 3,
+    so ((x + 5 * ones) >> 3) & ones marks those fields.  The first round
+    takes 2..6 to 0..3 and the second 0..3 to 0..2, keeping each field's
+    value mod 3, so x ends as the packed (-a_i - b_i) mod 3: the third
+    card.  A dict from the board's packed cards to their ids looks it up,
+    and the triple is kept iff the third card is on the board above b.
+    """
+    cards = board.cards
+    packed = _packed_cards(board)
+    index = dict(zip(packed, cards))
+    ones = _pack((1,) * board.dim)
+    six = 6 * ones
+    five = 5 * ones
     found = []
     for i, a in enumerate(cards):
-        for b in cards[i + 1 :]:
-            t = geometry.third_value(a, b, d)
-            if t > b and mask >> t & 1:
+        base = six - packed[i]
+        for b, pb in zip(cards[i + 1 :], packed[i + 1 :]):
+            x = base - pb
+            x -= 3 * ((x + five) >> 3 & ones)
+            x -= 3 * ((x + five) >> 3 & ones)
+            if (t := index.get(x, -1)) > b:
                 found.append((a, b, t))
     return found
 
 
 def count_sets_bruteforce(board: Board) -> int:
-    """Slow oracle: test all C(n,3) card triples against the line condition."""
-    d = board.dim
-    return sum(1 for a, b, c in combinations(board.cards, 3) if geometry.is_line(a, b, c, d))
+    """Slow oracle: test all C(n,3) card triples against the line condition.
+
+    Three distinct cards, as every triple of a board's cards is, form a
+    line iff each digit sum a_i + b_i + c_i is 0 mod 3.  A sum of three digits is at most 6 and fits a field, so the sum of
+    three packed cards carries nothing between fields and holds each digit
+    sum in its own field.  The triple is a line iff every field is 0, 3 or
+    6, i.e. iff the packed sum is one of the 3^d ints _line_sums(d) holds.
+    """
+    sums = _line_sums(board.dim)
+    return sum(map(sums.__contains__, map(sum, combinations(_packed_cards(board), 3))))
 
 
 def add_to_gain(gain: list[int], chosen: list[int], card: int, rows, step: int = 1) -> None:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from setmax import counting, geometry
 from setmax.counting import (
     Board,
     BoardParseError,
@@ -12,7 +13,7 @@ from setmax.counting import (
     delta_sets,
     list_sets,
 )
-from setmax.geometry import encode_card, is_line
+from setmax.geometry import encode_card, is_line, line_count, third_value
 
 
 def board_from(*coords):
@@ -43,6 +44,13 @@ class TestBoard:
         b = Board(4, (0, 80))
         assert 80 in b and 0 in b and 40 not in b
         assert -3 not in b and "x" not in b
+
+    def test_bool_is_not_a_card(self):
+        # check_card refuses bools, so membership does too.
+        assert True not in Board(4, [1, 5])
+        assert False not in Board(4, [0])
+        with pytest.raises(ValueError):
+            Board(4, [True])
 
     def test_parse_round_trip(self):
         b = board_from(*TWELVE_FOURTEEN)
@@ -134,6 +142,67 @@ class TestListSets:
         lines = list_sets(b)
         assert len(set(lines)) == 12
         assert all(a < x < t for a, x, t in lines)
+
+
+def reference_count(board):
+    """The oracle's count by the defining condition, one triple at a time."""
+    d = board.dim
+    return sum(1 for a, b, c in combinations(board.cards, 3) if is_line(a, b, c, d))
+
+
+def reference_list(board):
+    """list_sets by completing each pair with third_value, in pair order."""
+    cards = board.cards
+    found = []
+    for i, a in enumerate(cards):
+        for b in cards[i + 1 :]:
+            t = third_value(a, b, board.dim)
+            if t > b and t in board:
+                found.append((a, b, t))
+    return found
+
+
+def reference_boards(d):
+    """Seeded boards of 0..3 cards, then random boards of up to 60 cards."""
+    rng = random.Random(d * 31 + 7)
+    deck = 3 ** d
+    for n in range(4):
+        yield Board(d, rng.sample(range(deck), n))
+    for _ in range(20):
+        yield Board(d, rng.sample(range(deck), rng.randrange(0, min(60, deck) + 1)))
+
+
+@pytest.fixture
+def table_free(monkeypatch):
+    """Make the pair table, the gain array and the table engines raise, so
+    a test passes only if the code under test uses none of them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table-free engine reached a table engine")
+
+    monkeypatch.setattr(geometry, "third_rows", refuse)
+    for name in ("add_to_gain", "count_sets", "delta_sets"):
+        monkeypatch.setattr(counting, name, refuse)
+
+
+@pytest.mark.usefixtures("table_free")
+class TestTableFreeEngines:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_match_references(self, d):
+        for b in reference_boards(d):
+            assert count_sets_bruteforce(b) == reference_count(b)
+            assert list_sets(b) == reference_list(b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_full_decks(self, d):
+        b = Board.full_deck(d)
+        assert count_sets_bruteforce(b) == line_count(d)
+        assert len(list_sets(b)) == line_count(d)
+
+    def test_widest_cards(self):
+        b = Board(8, (0, 1, 2, 6560))
+        assert count_sets_bruteforce(b) == 1
+        assert list_sets(b) == [(0, 1, 2)]
 
 
 class TestDeltaSets:

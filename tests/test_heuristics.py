@@ -87,9 +87,10 @@ class TestAgainstReference:
 
     def test_d7_prefixes_recount(self):
         # d=7 is above the built pair table.  The trace reads rows composed
-        # of two built tables; list_sets completes each pair digit by digit
-        # and shares no code with those tables or with add_to_gain, so it is
-        # an independent oracle.
+        # of two built tables; list_sets completes each pair digit by digit,
+        # in packed digits, and reads neither those tables nor add_to_gain
+        # (test_counting's TestTableFreeEngines checks this), so it is an
+        # independent oracle.
         trace = cmm_run(7, upto=60)
         assert len(trace.turns) == 60
         for i, t in enumerate(trace.turns, start=1):
