@@ -37,6 +37,10 @@ class BoardParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+# The one spelling of each digit in the board text format.
+_DIGITS = {"0": 0, "1": 1, "2": 2}
+
+
 class Board:
     """An immutable collection of distinct cards in a d-property deck.
 
@@ -48,6 +52,7 @@ class Board:
 
     def __init__(self, dim: int, cards=()):
         geometry.check_dimension(dim)
+        cards = tuple(cards)
         mask = 0
         for c in cards:
             geometry.check_card(c, dim)
@@ -56,15 +61,8 @@ class Board:
                 raise DuplicateCardError(f"card {c} appears more than once")
             mask |= bit
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cards", tuple(sorted(self._bits(mask))))
+        object.__setattr__(self, "cards", tuple(sorted(cards)))
         object.__setattr__(self, "mask", mask)
-
-    @staticmethod
-    def _bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def __setattr__(self, name, value):
         raise AttributeError("Board is immutable")
@@ -80,7 +78,8 @@ class Board:
     @classmethod
     def parse(cls, text: str, *, dim: int | None = None, source: str = "<board>") -> "Board":
         """Parse the board text format: one card per line, comma-separated
-        digits in {0,1,2}; blank lines and '#' comments are ignored.
+        fields that are each exactly 0, 1 or 2 (surrounding blanks aside);
+        blank lines and '#' comments are ignored.
 
         The dimension is inferred from the first card unless given.  An
         empty board defaults to the standard 4-property deck.
@@ -93,13 +92,10 @@ class Board:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = [p.strip() for p in line.split(",")]
             try:
-                digits = [int(p) for p in parts]
-            except ValueError:
-                raise BoardParseError(source, lineno, f"not a card: {line!r}") from None
-            if any(v not in (0, 1, 2) for v in digits):
-                raise BoardParseError(source, lineno, f"digits must be 0, 1 or 2: {line!r}")
+                digits = [_DIGITS[p.strip()] for p in line.split(",")]
+            except KeyError:
+                raise BoardParseError(source, lineno, f"not a card (each field must be 0, 1 or 2): {line!r}") from None
             if dim is None:
                 dim = len(digits)
                 if not geometry.MIN_DIMENSION <= dim <= geometry.MAX_DIMENSION:
@@ -139,12 +135,7 @@ class Board:
         return iter(self.cards)
 
     def __contains__(self, card) -> bool:
-        return (
-            isinstance(card, int)
-            and not isinstance(card, bool)
-            and 0 <= card
-            and self.mask >> card & 1 == 1
-        )
+        return geometry.is_int(card) and 0 <= card and self.mask >> card & 1 == 1
 
     def __eq__(self, other) -> bool:
         return (

@@ -39,8 +39,13 @@ class SingularMapError(ValueError):
     """An affine map's matrix is not invertible mod 3."""
 
 
+def is_int(v) -> bool:
+    """Whether v is an int that is not a bool (bool is a subclass of int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_dimension(d: int) -> int:
-    if not isinstance(d, int) or isinstance(d, bool) or not MIN_DIMENSION <= d <= MAX_DIMENSION:
+    if not is_int(d) or not MIN_DIMENSION <= d <= MAX_DIMENSION:
         raise ValueError(
             f"dimension must be an integer in [{MIN_DIMENSION}, {MAX_DIMENSION}], got {d!r}"
         )
@@ -53,7 +58,7 @@ def deck_size(d: int) -> int:
 
 
 def check_card(card: int, d: int) -> int:
-    if not isinstance(card, int) or isinstance(card, bool) or not 0 <= card < 3 ** d:
+    if not is_int(card) or not 0 <= card < 3 ** d:
         raise ValueError(f"card id must be an integer in [0, {3 ** d}), got {card!r}")
     return card
 

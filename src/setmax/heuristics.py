@@ -61,8 +61,8 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
     deck = 3 ** dim
     if upto is None:
         upto = deck
-    if not 1 <= upto <= deck:
-        raise ValueError(f"turn limit must be in [1, {deck}], got {upto}")
+    if not geometry.is_int(upto) or not 1 <= upto <= deck:
+        raise ValueError(f"turn limit must be an integer in [1, {deck}], got {upto!r}")
 
     rows = geometry.third_rows(dim)
 

@@ -26,13 +26,13 @@ witness independent of worker scheduling; the node and prune counters of a
 parallel run are not, because each unit prunes against the best value
 known when it starts.
 
-Every run splits the walk at its top level.  Work unit u is the walk
-from the frontier {stack: [], next_card: u} whose top level ends at
-u + 1: card u itself, then its subtree.  One worker walks the units in
-order in its own process, each seeded with the best of the units before
-it, so it counts exactly as the whole walk; more workers run them in a
-process pool.  A unit's frontier is a stack of cards, which starts at u,
-plus the next candidate at the current level; an empty stack has next
+Every run splits the walk at its top level.  Work unit u, card u and its
+subtree, is the walk from {stack: [], next_card: u} inside the level ends
+_ends(plan, u).  One worker walks the units in order in its own process,
+each seeded with the best of the units before it, so it counts exactly
+as the whole walk; more workers run them in a process pool.  A unit's
+frontier is a stack of cards plus the next candidate at the current
+level, a path of u's walk (see _off_path); an empty stack has next
 card u (not begun) or u + 1 (exhausted).  A checkpoint maps each started
 unit to its frontier, from which a resumed run rebuilds the gain array
 and continues the identical traversal, at any worker count.
@@ -125,20 +125,20 @@ class SearchConfig:
     def __post_init__(self):
         geometry.check_dimension(self.dim)
         deck = 3 ** self.dim
-        if not isinstance(self.n, int) or not 3 <= self.n <= deck:
+        if not geometry.is_int(self.n) or not 3 <= self.n <= deck:
             raise ValueError(f"board size must be an integer in [3, {deck}], got {self.n!r}")
         if self.mode not in ("naive", "pruned"):
             raise ValueError(f"mode must be 'naive' or 'pruned', got {self.mode!r}")
         if not isinstance(self.symmetry, bool):
             raise ValueError(f"symmetry must be a boolean, got {self.symmetry!r}")
-        if not _is_int(self.threads) or self.threads < 1:
+        if not geometry.is_int(self.threads) or self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
         interval = self.report_interval
         if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not interval > 0:
             raise ValueError(f"report_interval must be a positive number, got {interval!r}")
-        if self.stop_after_nodes is not None and (not _is_int(self.stop_after_nodes) or self.stop_after_nodes < 0):
+        if self.stop_after_nodes is not None and (not geometry.is_int(self.stop_after_nodes) or self.stop_after_nodes < 0):
             raise ValueError(f"stop_after_nodes must be None or an integer >= 0, got {self.stop_after_nodes!r}")
-        if not _is_int(self.naive_budget) or self.naive_budget < 0:
+        if not geometry.is_int(self.naive_budget) or self.naive_budget < 0:
             raise ValueError(f"naive_budget must be an integer >= 0, got {self.naive_budget!r}")
 
 
@@ -222,23 +222,33 @@ def _plan(config: SearchConfig) -> _Plan:
 
 
 @lru_cache(maxsize=8)
-def _start(plan: _Plan) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The score and gain array of the plan's base board, and the end of
-    the candidate range at each board size.  Built once per plan and shared
-    by every walk, which copies an array before each push adds to it."""
+def _start(plan: _Plan) -> tuple[int, tuple[int, ...]]:
+    """The score and gain array of the plan's base board.  Built once per
+    plan and shared by every walk, which copies an array before each push
+    adds to it."""
     rows = geometry.third_rows(plan.dim)
     cnt, gain, chosen = plan.offset, [0] * 3 ** plan.dim, []
     for x in plan.base:
         cnt += gain[x]
         add_to_gain(gain, chosen, x, rows, plan.step)
-    return cnt, tuple(gain), tuple(map(plan.limit, range(plan.size)))
+    return cnt, tuple(gain)
+
+
+def _ends(plan: _Plan, u: int) -> list[int]:
+    """The end of each level (board size) of work unit u's walk: the top
+    level, len(plan.base), holds card u alone and ends at u + 1, and every
+    other ends at plan.limit(level).  _dfs_segment walks inside these ends,
+    and _off_path refuses a saved path that leaves them."""
+    ends = list(map(plan.limit, range(plan.size)))
+    ends[len(plan.base)] = u + 1
+    return ends
 
 
 def _dfs_segment(
     plan: _Plan,
     state: dict,
+    u: int,
     *,
-    end: int,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
     on_progress=None,
@@ -248,15 +258,15 @@ def _dfs_segment(
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
-    gain step and the slack of each level are the plan's.  `end` ends the
-    top level (the first card after `base`) before card `end`; work unit u
-    is the walk from {stack: [], next_card: u} with end u + 1.  `seed_best`
-    only tightens pruning; best/witness in the state reflect boards
-    actually visited here, which is what keeps merged parallel results
-    deterministic.  The walk leaves its frontier in `state` at every stop
-    check (then calls `on_progress`, when given) and when it stops or
-    ends.  A KeyboardInterrupt, which can land inside a step, propagates
-    with `state` at the frontier of the last check.
+    gain step and the slack of each level are the plan's.  The walk is
+    work unit u's: it starts from {stack: [], next_card: u} and stays inside
+    the level ends _ends(plan, u).  `seed_best` only tightens pruning;
+    best/witness in the state reflect boards actually visited here, which
+    is what keeps merged parallel results deterministic.  The walk leaves
+    its frontier in `state` at every stop check (then calls `on_progress`,
+    when given) and when it stops or ends.  A KeyboardInterrupt, which can
+    land inside a step, propagates with `state` at the frontier of the last
+    check.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk enters
@@ -343,7 +353,8 @@ def _dfs_segment(
     # No gain entry rises by more than this in one push.
     rise = max(step, 0)
 
-    cnt, gain, limit_at = _start(plan)
+    cnt, gain = _start(plan)
+    limit_at = _ends(plan, u)
     chosen = list(plan.base)
 
     # Rebuild the gain array along the saved frontier; a pop restores the
@@ -360,8 +371,6 @@ def _dfs_segment(
 
     leaf = n - 1
     size = len(chosen)
-    limit_at = list(limit_at)
-    limit_at[base_len] = min(limit_at[base_len], end)
     # head_at[size] bounds every gain a push at level size leaves in its
     # child level, from the level's first look-ahead on.
     head_at = [None] * n
@@ -544,7 +553,7 @@ def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int, stop_after_no
     walks: a Ctrl-C that killed an idle worker would break the pool."""
     signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        _dfs_segment(plan, state, end=u + 1, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
+        _dfs_segment(plan, state, u, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
     except KeyboardInterrupt:
         pass
     finally:
@@ -644,7 +653,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                 _dfs_segment(
                     plan,
                     state,
-                    end=u + 1,
+                    u,
                     seed_best=best,
                     stop_after_nodes=budget(state),
                     on_progress=report,
@@ -721,42 +730,42 @@ def run_search(config: SearchConfig) -> SearchResult:
     return _run(config)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _witness_board(plan: _Plan, u: int, witness) -> Board | None:
-    """The board of a saved witness, which must be a board of work unit u's
-    walk: a list of plan.size distinct cards of the deck, in increasing
-    order, that starts with the base and then u (None stays None)."""
-    if witness is None:
-        return None
-    refusal = f"checkpoint witness {witness!r} is not {plan.size} distinct cards in [0, {3 ** plan.dim})"
-    if not isinstance(witness, list) or len(witness) != plan.size:
-        raise CheckpointError(refusal)
-    try:
-        board = Board(plan.dim, witness)
-    except ValueError as exc:
-        raise CheckpointError(f"{refusal}: {exc}") from None
-    first = [*plan.base, u]
-    if witness[: len(first)] != first or any(a >= b for a, b in zip(witness, witness[1:])):
-        raise CheckpointError(
-            f"checkpoint witness {witness!r} is no board of unit {u}'s walk, "
-            f"which holds increasing cards that start {first}"
-        )
-    return board
-
-
 _FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
+
+
+def _off_path(plan: _Plan, u: int, path: list[int], reach: bool) -> str | None:
+    """Why `path` is no path of work unit u's walk, or None if it is one.
+
+    A path holds one card per level from the top level on, each above the
+    card before it (the first at least u) and below its level's end in
+    _ends(plan, u); with `reach`, as for a frontier's next card, the last
+    card may also equal that end, where the walk leaves an exhausted level.
+    This one rule implies each narrower check on a frontier:
+
+    - each card is at least the one before it plus 1, so a path increases;
+    - so a witness's cards are distinct (the path starts at u >= plan.lo,
+      above the base) and lie in the deck (no level ends past
+      plan.limit(plan.size - 1) = 3**d);
+    - the top level is [u, u + 1), so a stack starts at u, and an empty
+      stack's next card lies in [u, u + 1].
+    """
+    ends, top, lo = _ends(plan, u), len(plan.base), u
+    for level, x in enumerate(path, top):
+        if not geometry.is_int(x) or x < lo:
+            return f"card {x!r} of level {level} is not an integer >= {lo}"
+        if x >= ends[level] + (reach and level == top + len(path) - 1):
+            return f"card {x} is past the end {ends[level]} of level {level}"
+        lo = x + 1
+    return None
 
 
 def _check_units(plan: _Plan, units) -> None:
     """Reject a unit map the run could not have saved: each key must name a
-    work unit u of this search and hold a frontier of u's walk, whose stack
-    starts at u and holds a candidate of each level, or is empty with next
-    card u or u + 1, whose witness is none or a board of u's walk, whose
-    best is the score of its witness (-1 with none), and whose
-    0 <= pruned <= nodes.
+    work unit u of this search and hold a frontier of u's walk.  Its stack
+    holds no leaf card and, followed by its next card, is a path of u's
+    walk (see _off_path); its witness is none, or plan.size cards: the
+    base, then a path of u's walk.  Its best is the score of its witness
+    (-1 with none), and 0 <= pruned <= nodes.
 
     A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
@@ -765,7 +774,7 @@ def _check_units(plan: _Plan, units) -> None:
     if not isinstance(units, dict):
         raise CheckpointError(f"checkpoint units {units!r} is not a mapping of units")
     names = {str(u) for u in _units(plan)}
-    need = plan.size - len(plan.base)
+    top = len(plan.base)
     for key, state in units.items():
         if key not in names:
             raise CheckpointError(f"checkpoint unit {key!r} is not a work unit of this search")
@@ -774,39 +783,31 @@ def _check_units(plan: _Plan, units) -> None:
         for field in _FRONTIER_KEYS:
             if field not in state:
                 raise CheckpointError(f"checkpoint unit {key} is missing field {field!r}")
-        stack, c = state["stack"], state["next_card"]
-        if not isinstance(stack, list) or not all(_is_int(x) for x in stack):
-            raise CheckpointError(f"checkpoint stack {stack!r} is not a list of card ids")
-        if len(stack) >= need:
-            raise CheckpointError(
-                f"checkpoint stack holds {len(stack)} cards; a walked board of {plan.size} "
-                f"over a base of {len(plan.base)} allows at most {need - 1}"
-            )
-        if any(a >= b for a, b in zip(stack, stack[1:])):
-            raise CheckpointError(f"checkpoint stack {stack!r} is not strictly increasing")
         u = int(key)
-        if not (stack[0] == u if stack else c in (u, u + 1)):
-            raise CheckpointError(
-                f"checkpoint unit {key} holds no frontier of its walk: stack {stack!r}, next_card {c!r}"
-            )
-        for level, x in enumerate(stack, len(plan.base)):
-            if x >= plan.limit(level):
-                raise CheckpointError(f"checkpoint stack card {x} is past the end {plan.limit(level)} of level {level}")
-        first = stack[-1] + 1 if stack else u
-        limit = plan.limit(len(plan.base) + len(stack))
-        if not _is_int(c) or not first <= c <= limit:
-            raise CheckpointError(f"checkpoint next_card {c!r} is outside [{first}, {limit}]")
+        stack, c = state["stack"], state["next_card"]
+        if not isinstance(stack, list) or len(stack) >= plan.size - top:
+            raise CheckpointError(f"checkpoint unit {u} stack {stack!r} is no list of under {plan.size - top} cards")
+        if reason := _off_path(plan, u, stack + [c], True):
+            raise CheckpointError(f"checkpoint unit {u} holds no frontier of its walk: {reason}")
         for field in ("best", "nodes", "pruned"):
-            if not _is_int(state[field]):
-                raise CheckpointError(f"checkpoint {field} {state[field]!r} is not an integer")
+            if not geometry.is_int(state[field]):
+                raise CheckpointError(f"checkpoint unit {u} {field} {state[field]!r} is not an integer")
         if not 0 <= state["pruned"] <= state["nodes"]:
-            raise CheckpointError(f"checkpoint unit {key} counts {state['pruned']} prunes of {state['nodes']} nodes")
-        board = _witness_board(plan, u, state["witness"])
+            raise CheckpointError(f"checkpoint unit {u} counts {state['pruned']} prunes of {state['nodes']} nodes")
+        witness = state["witness"]
+        if witness is not None:
+            if not isinstance(witness, list) or len(witness) != plan.size or witness[:top] != list(plan.base):
+                raise CheckpointError(
+                    f"checkpoint witness {witness!r} of unit {u} is not {plan.size} distinct cards "
+                    f"that start with the base {list(plan.base)}"
+                )
+            if reason := _off_path(plan, u, witness[top:], False):
+                raise CheckpointError(f"checkpoint witness {witness!r} is no board of unit {u}'s walk: {reason}")
         # A walk's best is -1 until it scores a board, and from then on the
         # score of its witness, a walked board (see _plan).
-        score = -1 if board is None else plan.offset + plan.step * count_sets(board)
+        score = -1 if witness is None else plan.offset + plan.step * count_sets(Board(plan.dim, witness))
         if state["best"] != score:
-            raise CheckpointError(f"checkpoint unit {key} has best {state['best']}, but its witness scores {score}")
+            raise CheckpointError(f"checkpoint unit {u} has best {state['best']}, but its witness scores {score}")
 
 
 def _resume(config: SearchConfig, cp: Checkpoint) -> SearchResult:
@@ -861,8 +862,8 @@ def table_configs(dim: int, n_from: int, n_to: int, *, threads: int = 1) -> list
     n_to] (ValueError for a bad range or worker count)."""
     geometry.check_dimension(dim)
     deck = 3 ** dim
-    if not 3 <= n_from <= n_to <= deck:
-        raise ValueError(f"need 3 <= n_from <= n_to <= {deck}, got [{n_from}, {n_to}]")
+    if not (geometry.is_int(n_from) and geometry.is_int(n_to) and 3 <= n_from <= n_to <= deck):
+        raise ValueError(f"need integers 3 <= n_from <= n_to <= {deck}, got [{n_from!r}, {n_to!r}]")
     return [SearchConfig(dim=dim, n=n, mode="pruned", threads=threads) for n in range(n_from, n_to + 1)]
 
 

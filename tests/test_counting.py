@@ -71,6 +71,14 @@ class TestBoard:
             Board.parse("0,0,0,0\n0,0,0,3\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("field", ["+1", "0_2", "01", " 1.0", "\uff12", "", "-0"])
+    def test_parse_takes_only_the_three_digits(self, field):
+        # int() reads +1, 0_2, 01, -0 and a full-width 2 as digits; the
+        # format takes only the fields 0, 1 and 2.
+        with pytest.raises(BoardParseError, match=r"each field must be 0, 1 or 2") as err:
+            Board.parse(f"0,0,0,0\n{field},0,0,0\n")
+        assert err.value.line == 2
+
     def test_parse_width_mismatch(self):
         with pytest.raises(BoardParseError):
             Board.parse("0,0,0,0\n0,0,0\n")

@@ -41,6 +41,12 @@ class TestTraceShape:
         with pytest.raises(ValueError):
             cmm_run(3, upto=28)
 
+    @pytest.mark.parametrize("upto", [True, 2.5, 3.0])
+    def test_upto_must_be_an_int(self, upto):
+        # True would run one turn, and 2.5 would fail as a slice index.
+        with pytest.raises(ValueError, match="turn limit must be an integer"):
+            cmm_run(3, upto)
+
 
 def reference_cmm(dim):
     """The O(deck**3) greedy loop the gain array replaced: every turn

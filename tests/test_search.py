@@ -26,6 +26,7 @@ from setmax.search import (
     resume_search,
     run_table,
     search_space,
+    table_configs,
 )
 
 
@@ -323,7 +324,7 @@ class TestReferenceWalk:
         plan = search._plan(SearchConfig(dim, n))
         state = search._fresh_state(2)
         seen = []
-        search._dfs_segment(plan, state, end=3, on_progress=lambda: seen.append(json.loads(json.dumps(state))))
+        search._dfs_segment(plan, state, 2, on_progress=lambda: seen.append(json.loads(json.dumps(state))))
         assert len(seen) >= 8
         at = dict.fromkeys(st["nodes"] for st in seen)
         reference_walk(dim, n, stop_at=seen[-1]["nodes"] + 1, at=at)
@@ -402,7 +403,7 @@ class TestResumeInsideBlocks:
         for u in range(plan.lo, unit):
             seed = max([-1] + [f["best"] for f in units.values()])
             units[str(u)] = search._fresh_state(u)
-            search._dfs_segment(plan, units[str(u)], end=u + 1, seed_best=seed)
+            search._dfs_segment(plan, units[str(u)], u, seed_best=seed)
             assert search._exhausted(u, units[str(u)])
         for key in ("nodes", "pruned"):
             st[key] -= sum(f[key] for f in units.values())
@@ -462,10 +463,10 @@ class TestParallel:
         # KeyboardInterrupt does.
         walk = search._dfs_segment
 
-        def stop_unit_2(plan, state, **kw):
-            if kw.get("end") == 3:
+        def stop_unit_2(plan, state, u, **kw):
+            if u == 2:
                 kw["stop_after_nodes"] = 1
-            return walk(plan, state, **kw)
+            return walk(plan, state, u, **kw)
 
         monkeypatch.setattr(search, "_dfs_segment", stop_unit_2)
         path = tmp_path / "units.ckpt"
@@ -816,16 +817,26 @@ class TestCheckpoint:
         # Real SIGINTs land wherever the walk is, inside a step too.  Each
         # run returns unfinished with a checkpoint that loads, which needs
         # its frontiers to be ones the walk could have left.  Each SIGINT
-        # is sent after 5-17 ms of the process's own CPU time, so a stall
-        # of the process cannot land it before the run starts.
+        # is sent 5-17 ms of wall time after the run's first walk starts:
+        # a stall of the process cannot land it before the run starts, and
+        # it cannot land after the run ends, as a SIGINT timed by the
+        # process's CPU time sometimes did in full test runs.
         script = f"""
 import os, signal
 from setmax import search
 search.max_sets_pruned(search.SearchConfig(4, 5))
-signal.signal(signal.SIGVTALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))
+real_walk, delays = search._dfs_segment, []
+
+def walk(*args, **kw):
+    if delays:
+        signal.setitimer(signal.ITIMER_REAL, delays.pop())
+    return real_walk(*args, **kw)
+
+search._dfs_segment = walk
+signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))
 for i in range(60):
     path = {str(tmp_path)!r} + f"/{{i}}.ckpt"
-    signal.setitimer(signal.ITIMER_VIRTUAL, 0.005 + 0.0002 * i)
+    delays.append(0.005 + 0.0002 * i)
     r = search.max_sets_pruned(search.SearchConfig(4, 10, checkpoint_path=path))
     assert not r.complete
     search.checkpoint_load(path)
@@ -953,7 +964,14 @@ class TestCheckpointValidation:
         path = _edited_checkpoint(tmp_path, BAD_FRONTIERS["stack decreases"])
         code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
-        assert "strictly increasing" in capsys.readouterr().err
+        # The reversed stack leaves the walk at its first card, the old top
+        # card, which lies past the top level [u, u + 1).
+        (key, st), = [(k, f) for k, f in json.loads(path.read_text())["units"].items() if len(f["stack"]) >= 2]
+        reason = (
+            f"checkpoint unit {key} holds no frontier of its walk: "
+            f"card {st['stack'][0]} is past the end {int(key) + 1} of level 2"
+        )
+        assert reason in capsys.readouterr().err
 
 
 def _units_checkpoint(tmp_path, units):
@@ -999,6 +1017,28 @@ class TestUnitsCheckpointValidation:
         path = _units_checkpoint(tmp_path, {"2": UNIT_2})
         assert resume_search(path, threads=2).complete
 
+    @pytest.mark.parametrize("dim,n,mode", [(3, 10, "pruned"), (3, 18, "pruned"), (4, 7, "pruned"), (3, 6, "naive")])
+    def test_every_frontier_of_the_walk_accepted(self, dim, n, mode):
+        # Every frontier a unit's walk leaves passes the check: fresh, at
+        # each progress check and at the end, for every unit of the row,
+        # each seeded as a one-worker run seeds it.
+        plan = search._plan(SearchConfig(dim, n, mode=mode))
+        checked = count()
+        best = -1
+        for u in search._units(plan):
+            state = search._fresh_state(u)
+
+            def check():
+                search._check_units(plan, {str(u): json.loads(json.dumps(state))})
+                next(checked)
+
+            check()
+            search._dfs_segment(plan, state, u, seed_best=best, on_progress=check)
+            check()
+            assert search._exhausted(u, state)
+            best = max(best, state["best"])
+        assert next(checked) > 2 * len(search._units(plan))
+
     @pytest.mark.parametrize("case", list(BAD_UNITS))
     def test_rejected_on_resume(self, tmp_path, case):
         units, reason = BAD_UNITS[case]
@@ -1028,6 +1068,14 @@ class TestRunTable:
         rows = run_table(3, 3, 10)
         values = [r.max_sets for r in rows]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("bounds", [(3.0, 5), (3, 5.0), (True, 5)])
+    def test_range_must_be_ints(self, bounds):
+        # range() would raise TypeError on a float bound.
+        with pytest.raises(ValueError, match="need integers"):
+            table_configs(3, *bounds)
+        with pytest.raises(ValueError, match="need integers"):
+            run_table(3, *bounds)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
