@@ -41,7 +41,7 @@ class BoardParseError(ValueError):
 _DIGITS = {"0": 0, "1": 1, "2": 2}
 
 
-class Board:
+class Board(geometry._Record):
     """An immutable collection of distinct cards in a d-property deck.
 
     Cards are kept sorted, so equal boards compare equal field-wise, and a
@@ -63,9 +63,6 @@ class Board:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cards", tuple(sorted(cards)))
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Board is immutable")
 
     @classmethod
     def from_coords(cls, dim: int, rows) -> "Board":
@@ -137,16 +134,12 @@ class Board:
     def __contains__(self, card) -> bool:
         return geometry.is_int(card) and 0 <= card and self.mask >> card & 1 == 1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Board) and self.dim == other.dim and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.mask))
-
     def __repr__(self) -> str:
         return f"Board(dim={self.dim}, n={len(self.cards)})"
+
+    def __reduce__(self):
+        # mask is derived from the cards, so the constructor rebuilds it.
+        return Board, (self.dim, self.cards)
 
 
 def count_sets(board: Board) -> int:

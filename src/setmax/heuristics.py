@@ -1,11 +1,21 @@
 """Greedy turn-by-turn board construction (consecutive maximization).
 
-The heuristic seeds itself with one card from each of the first two cubes,
-completes their set, and then repeatedly picks the card that adds the most
-new internal sets.  Exact ties prefer a card from a different cube than
-the previous pick, then the lowest card id, so runs are reproducible.  On
-turns 4, 7, ..., 3d-2 it instead takes the first card of a cube that has
-not been touched yet (falling back to the greedy rule when none is left).
+Each turn picks the card that adds the most new internal sets.  Exact
+ties prefer a card from a different cube than the previous pick, then the
+lowest card id, so runs are reproducible.  On turns 4, 7, ..., 3d-2 it
+instead takes the first card of a cube that has not been touched yet
+(falling back to the greedy rule when none is left).
+
+The rule needs no seed: its first three picks are one card from each of
+the first two cubes and the card completing their set.
+
+- Turn 1: every gain is 0, so the rule takes card 0.
+- Turn 2: every free card gains 0, and the first one, card 1, lies in
+  card 0's cube.  So the tie-break takes card 9, the first card of cube
+  1, when a second cube exists (d >= 3), and card 1 at d = 2.
+- Turn 3: the only positive gain is the third card of those two.
+
+Special turns start at turn 4.
 
 Every turn reads one gain array (see counting.add_to_gain) instead of
 rescoring each free card, so a whole trace costs O(deck**2).
@@ -75,25 +85,9 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
     cumulative = 0
     turns: list[CmmTurn] = []
 
-    def take(turn: int, c: int) -> None:
-        nonlocal cumulative
-        new = gain[c]
-        cumulative += new
-        add_to_gain(gain, selected, c, rows)
-        gain[c] = -deck
-        turns.append(CmmTurn(turn, c, new, cumulative))
-
     ncubes = geometry.cube_count(dim)
-    # Seed: first card of cube 0, then of cube 1; with a single cube
-    # (dim 2) the second pick is just the next card.
-    card1 = 0
-    card2 = 9 if ncubes >= 2 else 1
-    seed = [card1, card2, geometry.third_value(card1, card2, dim)]
-    for turn, c in enumerate(seed[:upto], start=1):
-        take(turn, c)
-
     special_turns = {3 * t + 1 for t in range(1, dim)}
-    for turn in range(4, upto + 1):
+    for turn in range(1, upto + 1):
         card = None
         if turn in special_turns:
             used = {c // 9 for c in selected}
@@ -105,12 +99,16 @@ def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:
             # Largest gain, then outside the last pick's cube, then lowest
             # id.  Every card before the first maximizer gains less, so a
             # maximizer outside the last cube, if the first one is inside
-            # it, lies after that cube.
+            # it, lies after that cube.  Turn 1 has no last pick.
             top = max(gain)
             card = gain.index(top)
-            last_cube = selected[-1] // 9
+            last_cube = selected[-1] // 9 if selected else None
             if card // 9 == last_cube and top in gain[9 * last_cube + 9 :]:
                 card = gain.index(top, 9 * last_cube + 9)
-        take(turn, card)
+        new = gain[card]
+        cumulative += new
+        add_to_gain(gain, selected, card, rows)
+        gain[card] = -deck
+        turns.append(CmmTurn(turn, card, new, cumulative))
 
     return CmmTrace(dim, turns)

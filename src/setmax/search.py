@@ -78,10 +78,11 @@ import csv
 import json
 import os
 import signal
+import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from . import geometry
 from .counting import Board, add_to_gain, count_sets
@@ -134,7 +135,8 @@ class SearchConfig:
         if not geometry.is_int(self.threads) or self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
         interval = self.report_interval
-        if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not interval > 0:
+        # _run adds it to a float: inf is fine, an int past the float range is not.
+        if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not (0 < interval <= sys.float_info.max or interval == inf):
             raise ValueError(f"report_interval must be a positive number, got {interval!r}")
         if self.stop_after_nodes is not None and (not geometry.is_int(self.stop_after_nodes) or self.stop_after_nodes < 0):
             raise ValueError(f"stop_after_nodes must be None or an integer >= 0, got {self.stop_after_nodes!r}")
@@ -796,7 +798,8 @@ def _check_units(plan: _Plan, units) -> None:
             raise CheckpointError(f"checkpoint unit {u} counts {state['pruned']} prunes of {state['nodes']} nodes")
         witness = state["witness"]
         if witness is not None:
-            if not isinstance(witness, list) or len(witness) != plan.size or witness[:top] != list(plan.base):
+            cards = isinstance(witness, list) and len(witness) == plan.size and all(map(geometry.is_int, witness))
+            if not cards or witness[:top] != list(plan.base):
                 raise CheckpointError(
                     f"checkpoint witness {witness!r} of unit {u} is not {plan.size} distinct cards "
                     f"that start with the base {list(plan.base)}"

@@ -295,8 +295,8 @@ class TestAffineMap:
 
 
 class TestRecords:
-    """Flat and AffineMap are immutable records: built from their fields,
-    compared, hashed, printed and pickled by them."""
+    """Flat, AffineMap and Board are immutable records: built from their
+    fields, compared, hashed, printed and pickled by them."""
 
     def test_affine_map_normalises_its_fields(self):
         m = AffineMap(matrix=((4, 0), (3, 2)), translation=(5, -1))
@@ -312,8 +312,9 @@ class TestRecords:
              geometry.Flat(frozenset((41,)), 0), ("cards", "rank")),
             (AffineMap.identity(3), AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 4)), (3, 0, 0)),
              AffineMap.translation_by((0, 0, 1)), ("matrix", "translation")),
+            (Board(4, (40, 2)), Board(4, [2, 40]), Board(4, (41, 2)), ("dim", "cards", "mask")),
         ],
-        ids=["Flat", "AffineMap"],
+        ids=["Flat", "AffineMap", "Board"],
     )
     def test_value_semantics(self, record, same, other, fields):
         import copy

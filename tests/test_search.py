@@ -189,6 +189,7 @@ class TestConfig:
         "field,value",
         [("stop_after_nodes", v) for v in (-5, "5", 5.0, True)]
         + [("report_interval", v) for v in (0, -1.5, "x", None, True, float("nan"))]
+        + [pytest.param("report_interval", 10**400, id="report_interval-10**400")]
         + [("naive_budget", v) for v in (-1, "x", 1.5, None, True)]
         + [("symmetry", v) for v in ("no", 1, None)],
     )
@@ -199,6 +200,7 @@ class TestConfig:
     def test_numeric_inputs_accepted(self):
         SearchConfig(dim=3, n=10, stop_after_nodes=0, report_interval=1, naive_budget=0)
         SearchConfig(dim=3, n=10, stop_after_nodes=None, report_interval=0.5)
+        SearchConfig(dim=3, n=10, report_interval=float("inf"))
 
     def test_negative_stop_cli_exit_code(self, capsys):
         code = cli.main(["search", "--props", "3", "--cards", "10", "--stop-after-nodes", "-5"])
@@ -256,6 +258,18 @@ class TestPruned:
             free = pruned(3, n, symmetry=False)
             assert free.max_sets == exact.max_sets
             assert free.witness == exact.witness
+
+    def test_results_and_fixtures_pickle_and_copy(self):
+        import copy
+        import pickle
+        from dataclasses import asdict
+
+        from setmax import catalog
+
+        for value in (pruned(3, 9), catalog.fixture("twelve_fourteen")):
+            for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert clone == value
+            assert asdict(value) == vars(value)
 
 
 REFERENCE_ROWS = (
@@ -1009,6 +1023,9 @@ BAD_UNITS = {
         "no board of unit 2's walk",
     ),
     "witness out of order": ({"2": {**UNIT_2, "witness": [0, 1, 2, 4, 3, 5, 6, 7, 8, 9]}}, "no board of unit 2's walk"),
+    # False == 0 and 1.0 == 1, so these match the base [0, 1] as values.
+    "witness base card a bool": ({"2": {**UNIT_2, "witness": [False, *range(1, 10)]}}, "is not 10 distinct cards"),
+    "witness base card a float": ({"2": {**UNIT_2, "witness": [0, 1.0, *range(2, 10)]}}, "is not 10 distinct cards"),
 }
 
 
