@@ -32,10 +32,11 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 THREADS_ENV = "SET_SEARCH_THREADS"
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
+def _threads(args) -> int:
+    """The worker count: --threads, else $SET_SEARCH_THREADS, else 1."""
+    if args.threads is not None:
+        return args.threads
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
         value = int(raw)
         if value < 1:
@@ -64,23 +65,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-lines", action="store_true", help="also print each set, three cards per stanza")
     p.add_argument("--oracle", action="store_true", help="use the brute-force triple counter")
 
+    # Each flag's dest is its SearchConfig field, and an omitted flag stays
+    # None, so SearchConfig alone holds the defaults.
     p = sub.add_parser("search", help="maximum sets over all boards of a given size")
-    p.add_argument("--props", type=int, required=True)
-    p.add_argument("--cards", type=int, required=True)
-    p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
-    p.add_argument("--symmetry", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--props", dest="dim", metavar="PROPS", type=int, required=True)
+    p.add_argument("--cards", dest="n", metavar="CARDS", type=int, required=True)
+    p.add_argument("--mode", choices=("naive", "pruned"))
+    p.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
                    help="fix the first two cards via affine equivalence (pruned mode)")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker count (default ${THREADS_ENV} or 1)")
-    p.add_argument("--checkpoint", default=None, help="checkpoint file to write/resume")
+    p.add_argument("--threads", type=int, help=f"worker count (default ${THREADS_ENV} or 1)")
+    p.add_argument("--checkpoint", dest="checkpoint_path", metavar="CHECKPOINT",
+                   help="checkpoint file to write/resume")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
-    p.add_argument("--stop-after-nodes", type=int, default=None,
-                   help="stop (checkpointing) after visiting this many nodes")
-    p.add_argument("--report-interval", type=float, default=60.0,
-                   help="seconds between periodic checkpoints")
-    # None stands for search.DEFAULT_NAIVE_BUDGET, which _cmd_search fills
-    # in, so that building the parser imports no engine.
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--stop-after-nodes", type=int, help="stop (checkpointing) after visiting this many nodes")
+    p.add_argument("--report-interval", type=float, help="seconds between periodic checkpoints")
+    p.add_argument("--budget", dest="naive_budget", metavar="BUDGET", type=int,
                    help="naive-mode triple-check budget")
 
     p = sub.add_parser("table", help="maximum sets for a range of board sizes (CSV)")
@@ -109,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    from .counting import Board, count_sets, count_sets_bruteforce, list_sets
-    from .geometry import decode_card
+    from .counting import Board, card_text, count_sets, count_sets_bruteforce, list_sets
 
     board = Board.parse_file(args.board_file, dim=args.props)
     count = count_sets_bruteforce(board) if args.oracle else count_sets(board)
@@ -119,7 +117,7 @@ def _cmd_count(args) -> int:
         for line in list_sets(board):
             print()
             for card in line:
-                print(",".join(str(v) for v in decode_card(card, board.dim)))
+                print(card_text(card, board.dim))
     return EXIT_OK
 
 
@@ -139,19 +137,10 @@ def _print_search_result(result, symmetry: bool) -> None:
 def _cmd_search(args) -> int:
     from . import search
 
-    if args.resume and args.checkpoint is None:
+    if args.resume and args.checkpoint_path is None:
         raise ValueError("--resume requires --checkpoint")
-    config = search.SearchConfig(
-        dim=args.props,
-        n=args.cards,
-        mode=args.mode,
-        symmetry=args.symmetry,
-        threads=args.threads if args.threads is not None else _default_threads(),
-        checkpoint_path=args.checkpoint,
-        report_interval=args.report_interval,
-        naive_budget=search.DEFAULT_NAIVE_BUDGET if args.budget is None else args.budget,
-        stop_after_nodes=args.stop_after_nodes,
-    )
+    given = vars(args) | {"threads": _threads(args)}
+    config = search.SearchConfig(**{k: v for k, v in given.items() if v is not None and k not in ("command", "resume")})
     result = (search.resume_checkpoint if args.resume else search.run_search)(config)
     _print_search_result(result, config.mode == "pruned" and config.symmetry)
     return EXIT_OK
@@ -168,7 +157,7 @@ def _write_pretty(rows, out) -> None:
 def _cmd_table(args) -> int:
     from . import search
 
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = _threads(args)
     # Refuse a bad table before its destination is opened.
     search.table_configs(args.props, args.n_from, args.n_to, threads=threads)
     with _output(args.out) as out:
@@ -203,12 +192,8 @@ def _cmd_verify(args) -> int:
         status = "ok  " if c.ok else "FAIL"
         print(f"{status} {c.check}: {c.detail}")
     if args.json_out is not None:
-        payload = json.dumps(report.to_json_obj(), indent=2)
-        if args.json_out == "-":
-            print(payload)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as f:
-                f.write(payload + "\n")
+        with _output(None if args.json_out == "-" else args.json_out) as f:
+            f.write(json.dumps(report.to_json_obj(), indent=2) + "\n")
     if not report.ok:
         return EXIT_VERIFY
     print("all reference boards verified")

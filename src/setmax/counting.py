@@ -41,6 +41,11 @@ class BoardParseError(ValueError):
 _DIGITS = {"0": 0, "1": 1, "2": 2}
 
 
+def card_text(card: int, dim: int) -> str:
+    """The board text of one card: its digits, joined by commas."""
+    return ",".join(str(v) for v in geometry.decode_card(card, dim))
+
+
 class Board(geometry._Record):
     """An immutable collection of distinct cards in a d-property deck.
 
@@ -110,14 +115,12 @@ class Board(geometry._Record):
 
     @classmethod
     def parse_file(cls, path, *, dim: int | None = None) -> "Board":
-        with open(path, "r", encoding="utf-8") as f:
+        # utf-8-sig drops a leading byte-order mark, as Notepad writes.
+        with open(path, "r", encoding="utf-8-sig") as f:
             return cls.parse(f.read(), dim=dim, source=str(path))
 
     def to_text(self) -> str:
-        return "".join(
-            ",".join(str(v) for v in geometry.decode_card(c, self.dim)) + "\n"
-            for c in self.cards
-        )
+        return "".join(card_text(c, self.dim) + "\n" for c in self.cards)
 
     def with_card(self, card: int) -> "Board":
         return Board(self.dim, self.cards + (card,))

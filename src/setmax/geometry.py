@@ -73,7 +73,7 @@ def encode_card(coords) -> int:
     check_dimension(len(coords))
     value = 0
     for v in coords:
-        if v not in (0, 1, 2):
+        if not is_int(v) or v not in (0, 1, 2):
             raise ValueError(f"coordinates must be digits in {{0,1,2}}, got {coords!r}")
         value = 3 * value + v
     return value
@@ -424,8 +424,6 @@ class AffineMap(_Record):
 
 def apply_affine(m: AffineMap, board):
     """Image of a board under an affine map; set counts are preserved."""
-    from .counting import Board
-
     if m.dim != board.dim:
         raise ValueError(f"map dimension {m.dim} does not match board dimension {board.dim}")
-    return Board(board.dim, (m.apply_card(c) for c in board))
+    return type(board)(board.dim, map(m.apply_card, board))

@@ -31,7 +31,7 @@ import csv
 from dataclasses import dataclass
 
 from . import geometry
-from .counting import Board, add_to_gain
+from .counting import Board, add_to_gain, card_text
 
 TRACE_CSV_HEADER = ("turn", "card", "new_sets", "cumulative")
 
@@ -61,8 +61,7 @@ class CmmTrace:
         writer = csv.writer(out)
         writer.writerow(TRACE_CSV_HEADER)
         for t in self.turns:
-            digits = ",".join(str(v) for v in geometry.decode_card(t.card, self.dim))
-            writer.writerow((t.turn, digits, t.new_sets, t.cumulative))
+            writer.writerow((t.turn, card_text(t.card, self.dim), t.new_sets, t.cumulative))
 
 
 def cmm_run(dim: int, upto: int | None = None) -> CmmTrace:

@@ -89,10 +89,24 @@ class TestSearch:
         assert "budget" in err
 
     def test_budget_default(self, capsys, monkeypatch):
+        # Every omitted flag reaches its SearchConfig default.
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         configs = []
         monkeypatch.setattr(search, "run_search", lambda config: configs.append(config) or search.max_sets_naive(config))
         code, _, _ = run(capsys, "search", "--props", "3", "--cards", "4", "--mode", "naive")
-        assert code == 0 and configs[0].naive_budget == search.DEFAULT_NAIVE_BUDGET
+        assert code == 0 and configs == [search.SearchConfig(3, 4, mode="naive")]
+
+    def test_every_flag_reaches_its_field(self, capsys, monkeypatch, tmp_path):
+        configs = []
+        done = search.SearchResult(0, None, 0, 0, 0.0, True)
+        monkeypatch.setattr(search, "run_search", lambda config: configs.append(config) or done)
+        path = str(tmp_path / "run.ckpt")
+        code, _, _ = run(capsys, "search", "--props", "3", "--cards", "6", "--mode", "naive", "--no-symmetry",
+                         "--threads", "2", "--checkpoint", path, "--stop-after-nodes", "5",
+                         "--report-interval", "7", "--budget", "9")
+        assert code == 0
+        assert configs == [search.SearchConfig(3, 6, mode="naive", symmetry=False, threads=2, checkpoint_path=path,
+                                               report_interval=7.0, naive_budget=9, stop_after_nodes=5)]
 
     def test_corrupt_checkpoint_exit_code(self, capsys, tmp_path):
         path = tmp_path / "broken.ckpt"

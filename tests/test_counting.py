@@ -79,6 +79,17 @@ class TestBoard:
             Board.parse(f"0,0,0,0\n{field},0,0,0\n")
         assert err.value.line == 2
 
+    def test_parse_file_drops_a_byte_order_mark(self, tmp_path):
+        # Notepad and PowerShell 5's Out-File -Encoding utf8 start a file
+        # with one; a string keeps the format's rules.
+        b = board_from(*TWELVE_FOURTEEN)
+        marked, plain = tmp_path / "marked.board", tmp_path / "plain.board"
+        marked.write_bytes(b"\xef\xbb\xbf" + b.to_text().encode())
+        plain.write_text(b.to_text())
+        assert Board.parse_file(marked) == Board.parse_file(plain) == b
+        with pytest.raises(BoardParseError):
+            Board.parse("\ufeff" + b.to_text())
+
     def test_parse_width_mismatch(self):
         with pytest.raises(BoardParseError):
             Board.parse("0,0,0,0\n0,0,0\n")

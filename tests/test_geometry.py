@@ -57,9 +57,11 @@ class TestEncodeDecode:
         for card in range(27):
             assert encode_card(decode_card(card, 3)) == card
 
-    def test_bad_digit_rejected(self):
-        with pytest.raises(ValueError):
-            encode_card((0, 1, 3, 0))
+    @pytest.mark.parametrize("coords", [(0, 1, 3, 0), (0, 0, 0, 2.0), (0, 0, True, 0), (0, 1, 1.0, 0)],
+                             ids=["digit-3", "float-2.0", "bool-True", "float-1.0"])
+    def test_bad_digit_rejected(self, coords):
+        with pytest.raises(ValueError, match="coordinates must be digits"):
+            encode_card(coords)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
