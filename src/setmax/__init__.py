@@ -25,8 +25,8 @@ _EXPORTS = {
         "heuristics": "CmmTrace CmmTurn cmm_run",
         "catalog": "Fixture fixture fixtures verify_all",
         "search": "BudgetExceededError Checkpoint CheckpointError SearchConfig SearchResult TableRow bound_remaining "
-        "checkpoint_load checkpoint_save max_sets_naive max_sets_pruned resume_checkpoint resume_search run_search "
-        "run_table search_space",
+        "checkpoint_load checkpoint_save max_sets_naive max_sets_pruned resume_search run_search run_table "
+        "search_space",
     }.items()
     for name in names.split()
 }

@@ -47,9 +47,9 @@ def _threads(args) -> int:
 
 
 def _output(path):
-    """The destination of a command's table: the file at `path`, opened
-    for writing, or stdout when no path is given."""
-    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+    """The destination of a command's output: the file at `path`, opened
+    for writing, or stdout when the path is None or "-"."""
+    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8", newline="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,15 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", type=int, required=True)
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, help="output path ('-' or default: stdout)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--pretty", action="store_true", help="aligned table instead of CSV")
 
     p = sub.add_parser("cmm", help="greedy consecutive-maximization trace (CSV)")
     p.add_argument("--props", type=int, required=True)
     p.add_argument("--upto", type=int, default=None, help="stop after this many turns")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--board-out", default=None, help="write the final board here")
+    p.add_argument("--out", default=None, help="CSV output path ('-' or default: stdout)")
+    p.add_argument("--board-out", default=None, help="write the final board here ('-' for stdout)")
 
     p = sub.add_parser("verify", help="recount every reference board and check the constructions")
     p.add_argument("--json", dest="json_out", default=None,
@@ -141,7 +141,7 @@ def _cmd_search(args) -> int:
         raise ValueError("--resume requires --checkpoint")
     given = vars(args) | {"threads": _threads(args)}
     config = search.SearchConfig(**{k: v for k, v in given.items() if v is not None and k not in ("command", "resume")})
-    result = (search.resume_checkpoint if args.resume else search.run_search)(config)
+    result = search.resume_search(**vars(config)) if args.resume else search.run_search(config)
     _print_search_result(result, config.mode == "pruned" and config.symmetry)
     return EXIT_OK
 
@@ -174,7 +174,7 @@ def _cmd_cmm(args) -> int:
     with _output(args.out) as f:
         trace.write_csv(f)
     if args.board_out is not None:
-        with open(args.board_out, "w", encoding="utf-8") as f:
+        with _output(args.board_out) as f:
             f.write(trace.final_board.to_text())
     return EXIT_OK
 
@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
         status = "ok  " if c.ok else "FAIL"
         print(f"{status} {c.check}: {c.detail}")
     if args.json_out is not None:
-        with _output(None if args.json_out == "-" else args.json_out) as f:
+        with _output(args.json_out) as f:
             f.write(json.dumps(report.to_json_obj(), indent=2) + "\n")
     if not report.ok:
         return EXIT_VERIFY

@@ -54,6 +54,9 @@ class CmmTrace:
         return Board(self.dim, (t.card for t in self.turns))
 
     def cumulative_at(self, turn: int) -> int:
+        """The set count after `turn` turns (ValueError outside the trace)."""
+        if not geometry.is_int(turn) or not 1 <= turn <= len(self.turns):
+            raise ValueError(f"turn must be an integer in [1, {len(self.turns)}], got {turn!r}")
         return self.turns[turn - 1].cumulative
 
     def write_csv(self, out) -> None:

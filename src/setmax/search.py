@@ -80,7 +80,8 @@ import os
 import signal
 import sys
 import time
-from dataclasses import asdict, dataclass
+from contextlib import suppress
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from math import comb, inf
 
@@ -474,7 +475,8 @@ def _dfs_segment(
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
     """Write a checkpoint atomically and durably (JSON, versioned): the data
-    reaches the disk before the rename makes it the checkpoint."""
+    reaches the disk before the rename makes it the checkpoint, and a failed
+    write or rename removes its temporary file."""
     plan = _plan(SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry))
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -484,11 +486,16 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
         "units": cp.units,
     }
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def checkpoint_load(path) -> Checkpoint:
@@ -600,8 +607,8 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     budget left when it starts.  The unit map is saved at the end and at the
     first stop check or unit end a report_interval after the last save.
     Before any unit starts, a naive search over its budget is refused with
-    BudgetExceededError, and a checkpoint path that cannot be written (a
-    directory, or a file in a missing or read-only directory) with ValueError."""
+    BudgetExceededError, and with ValueError a checkpoint path that names
+    no file in a writable directory (such as "", "a/" or a directory)."""
     t0 = time.monotonic()
     if config.mode == "naive":
         estimate = search_space(config.dim, config.n)
@@ -613,6 +620,8 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
             )
     path = config.checkpoint_path
     if path is not None:
+        if not os.path.basename(path):
+            raise ValueError(f"cannot write checkpoint {path!r}: the path names no file")
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise ValueError(f"cannot write checkpoint {path}: it is a directory, or {folder} is not a writable one")
@@ -813,41 +822,28 @@ def _check_units(plan: _Plan, units) -> None:
             raise CheckpointError(f"checkpoint unit {u} has best {state['best']}, but its witness scores {score}")
 
 
-def _resume(config: SearchConfig, cp: Checkpoint) -> SearchResult:
-    """Continue the search of checkpoint `cp` as `config` asks, which must
-    walk the file's plan (else CheckpointError)."""
-    saved, asked = ((c.dim, c.n, c.mode, c.symmetry) for c in (cp, config))
-    if _plan(SearchConfig(*saved)) != _plan(config):
-        raise CheckpointError(
-            f"checkpoint {config.checkpoint_path} holds the search (dim, n, mode, symmetry) = {saved}, not {asked}"
-        )
-    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
-
-
-def resume_checkpoint(config: SearchConfig) -> SearchResult:
-    """Continue the search `config` from its checkpoint_path to completion
-    (or the next stop), at config.threads workers.  The file must hold a
-    search of the same walk plan, else CheckpointError: (dim, n, mode,
+def resume_search(checkpoint_path, **run) -> SearchResult:
+    """Continue the search held by the checkpoint at checkpoint_path to
+    completion (or the next stop), with the other SearchConfig fields from
+    `run`.  `run` may restate dim, n, mode and symmetry, but the search it
+    names must walk the file's plan, else CheckpointError: (dim, n, mode,
     symmetry) alike, except that a naive search, whose plan ignores the
-    symmetry flag, resumes under either.
+    symmetry flag, resumes under either.  CheckpointError also if
+    checkpoint_load refuses the file.
 
     A run resumed any number of times ends with the same maximum and
     witness as an uninterrupted one, and at one worker with the same
     counters; resuming a finished run returns its result at once.
-    ValueError if config names no checkpoint_path.
     """
-    if config.checkpoint_path is None:
-        raise ValueError("resume_checkpoint needs a checkpoint file, but config.checkpoint_path is None")
-    return _resume(config, checkpoint_load(config.checkpoint_path))
-
-
-def resume_search(checkpoint_path, **run) -> SearchResult:
-    """resume_checkpoint of the search the file at checkpoint_path holds,
-    with the other SearchConfig fields from `run`; CheckpointError if
-    checkpoint_load refuses the file."""
     cp = checkpoint_load(checkpoint_path)
-    config = SearchConfig(cp.dim, cp.n, cp.mode, cp.symmetry, checkpoint_path=str(checkpoint_path), **run)
-    return _resume(config, cp)
+    saved = SearchConfig(cp.dim, cp.n, cp.mode, cp.symmetry)
+    config = replace(saved, **run, checkpoint_path=str(checkpoint_path))
+    if _plan(saved) != _plan(config):
+        held, asked = ((c.dim, c.n, c.mode, c.symmetry) for c in (saved, config))
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} holds the search (dim, n, mode, symmetry) = {held}, not {asked}"
+        )
+    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,12 @@ class TestTable:
 
         assert len(columns(out)) == 3 and columns(out_path.read_text()) == columns(out)
 
+    def test_dash_out_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "table", "--props", "2", "--from", "3", "--to", "4", "--out", "-")
+        assert code == 0 and out.splitlines()[0] == ",".join(search.CSV_HEADER)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--props", "2", "--from", "8", "--to", "3")
         assert code == cli.EXIT_PARSE and err
@@ -290,6 +296,15 @@ class TestCmm:
         from setmax.counting import Board
 
         assert len(Board.parse_file(board_path)) == 27
+
+    def test_dash_outputs_are_stdout(self, capsys, tmp_path, monkeypatch):
+        # The trace, then the board, both on stdout.
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "cmm", "--props", "2", "--upto", "3", "--out", "-", "--board-out", "-")
+        assert code == 0
+        assert out.splitlines() == ["turn,card,new_sets,cumulative", "1,\"0,0\",0,0", "2,\"0,1\",0,0",
+                                    "3,\"0,2\",1,1", "0,0", "0,1", "0,2"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--board-out"])
     def test_unwritable_output_exit_code(self, capsys, tmp_path, flag):

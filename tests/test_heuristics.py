@@ -113,6 +113,11 @@ class TestTraceValues:
     def test_d2_endpoint(self):
         assert cmm_run(2).cumulative_at(9) == 12
 
+    @pytest.mark.parametrize("turn", [0, -1, True, 2.0, 28])
+    def test_turn_outside_the_trace_refused(self, turn):
+        with pytest.raises(ValueError, match=r"turn must be an integer in \[1, 27\]"):
+            cmm_run(3).cumulative_at(turn)
+
     def test_never_beats_the_exhaustive_maximum(self):
         trace = cmm_run(3)
         for t in trace.turns[2:]:

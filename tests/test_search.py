@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -653,21 +655,21 @@ class TestNaiveCheckpoint:
         symmetry = False
         while not r.complete:
             symmetry = not symmetry
-            config = SearchConfig(3, 6, "naive", symmetry, threads, str(path), stop_after_nodes=r.nodes_visited + 50_000)
-            r = search.resume_checkpoint(config)
+            r = resume_search(path, dim=3, n=6, mode="naive", symmetry=symmetry, threads=threads,
+                              stop_after_nodes=r.nodes_visited + 50_000)
         assert outcome(r) == outcome(ref)
 
     def test_pruned_resume_under_the_other_symmetry_flag_refused(self, tmp_path):
         path = tmp_path / "pruned.ckpt"
         assert not pruned(3, 6, checkpoint_path=str(path), stop_after_nodes=0).complete
         with pytest.raises(CheckpointError, match=r"\(3, 6, 'pruned', True\), not \(3, 6, 'pruned', False\)"):
-            search.resume_checkpoint(SearchConfig(3, 6, symmetry=False, checkpoint_path=str(path)))
+            resume_search(path, dim=3, n=6, symmetry=False)
 
     def test_pruned_resume_refused(self, tmp_path, capsys):
         path, _ = self._stopped(tmp_path)
         saved = path.read_bytes()
         with pytest.raises(CheckpointError, match=r"\(3, 6, 'naive', True\), not \(3, 6, 'pruned', True\)"):
-            search.resume_checkpoint(SearchConfig(3, 6, checkpoint_path=str(path)))
+            resume_search(path, dim=3, n=6, mode="pruned")
         code = cli.main(["search", "--props", "3", "--cards", "6", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
         assert path.read_bytes() == saved
@@ -747,18 +749,9 @@ class TestCheckpoint:
         assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
         saved = path.read_bytes()
         with pytest.raises(CheckpointError, match=r"\(3, 10, 'pruned', True\), not \(4, 12, 'pruned', True\)"):
-            search.resume_checkpoint(SearchConfig(4, 12, checkpoint_path=str(path)))
+            resume_search(path, dim=4, n=12)
         assert path.read_bytes() == saved
-        assert outcome(search.resume_checkpoint(SearchConfig(3, 10, checkpoint_path=str(path)))) == outcome(pruned(3, 10))
-
-    def test_resume_without_a_path_refused(self, monkeypatch):
-        # Refused by name before any file is read.
-        def load(path):
-            raise AssertionError(f"read checkpoint {path!r}")
-
-        monkeypatch.setattr(search, "checkpoint_load", load)
-        with pytest.raises(ValueError, match="checkpoint_path is None"):
-            search.resume_checkpoint(SearchConfig(3, 10))
+        assert outcome(resume_search(path, dim=3, n=10)) == outcome(pruned(3, 10))
 
     @pytest.mark.parametrize("path", ["missing/run.ckpt", "plain.txt/run.ckpt", "run.ckpt"])
     def test_unwritable_path_refused_before_the_walk(self, tmp_path, monkeypatch, path):
@@ -771,6 +764,39 @@ class TestCheckpoint:
         monkeypatch.setattr(search, "_dfs_segment", no_walk)
         with pytest.raises(ValueError, match="run.ckpt"):
             pruned(3, 8, checkpoint_path=str(tmp_path / path))
+
+    @pytest.mark.parametrize("path", ["", "missing/"])
+    def test_path_naming_no_file_refused_before_the_walk(self, tmp_path, monkeypatch, path):
+        # Unrefused, the walk would run to its end, and the save to
+        # "<path>.tmp" would then fail and lose the result.
+        def no_walk(*args, **kw):
+            raise AssertionError("a unit started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(search, "_dfs_segment", no_walk)
+        with pytest.raises(ValueError, match="names no file"):
+            pruned(3, 8, checkpoint_path=path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        # A rename that fails as on a full disk leaves no temporary file.
+        path = tmp_path / "run.ckpt"
+        assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
+        saved = path.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+        with monkeypatch.context() as m, pytest.raises(OSError) as err:
+            m.setattr(os, "replace", full_disk)
+            checkpoint_save(Checkpoint(3, 10, "pruned", True, {}), path)
+        assert err.value.errno == errno.ENOSPC
+        assert sorted(tmp_path.iterdir()) == [path] and path.read_bytes() == saved
+
+    def test_restated_search_resumes(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
+        assert outcome(resume_search(path, dim=3, n=10, mode="pruned", symmetry=True)) == outcome(pruned(3, 10))
 
     def test_report_clock_spans_units(self, tmp_path, monkeypatch):
         # A fake clock that ticks once per reading.  No unit of d=4 n=7

@@ -31,7 +31,7 @@ EXPORTS = {
     "catalog": ["Fixture", "fixture", "fixtures", "verify_all"],
     "search": ["BudgetExceededError", "Checkpoint", "CheckpointError", "SearchConfig", "SearchResult", "TableRow",
                "bound_remaining", "checkpoint_load", "checkpoint_save", "max_sets_naive", "max_sets_pruned",
-               "resume_checkpoint", "resume_search", "run_search", "run_table", "search_space"],
+               "resume_search", "run_search", "run_table", "search_space"],
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 
@@ -117,7 +117,7 @@ def test_export_listing():
     namespace = {}
     exec("from setmax import *", namespace)
     assert NAMES | {"__version__"} <= set(namespace)
-    assert namespace["resume_checkpoint"] is import_module("setmax.search").resume_checkpoint
+    assert namespace["resume_search"] is import_module("setmax.search").resume_search
 
 
 def test_unknown_name():
