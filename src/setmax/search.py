@@ -155,12 +155,13 @@ class SearchResult:
     complete: bool
 
 
+# The SearchConfig fields that name a search: the ones _plan reads.
+_SEARCH_FIELDS = ("dim", "n", "mode", "symmetry")
+
+
 @dataclass
 class Checkpoint:
-    dim: int
-    n: int
-    mode: str
-    symmetry: bool
+    config: SearchConfig  # the file holds its _SEARCH_FIELDS, not its run settings
     units: dict  # str(u) -> the frontier of work unit u's walk
 
 
@@ -178,13 +179,15 @@ def bound_remaining(current_size: int, target_n: int) -> int:
     k**2 // 4 - (k - 1)**2 // 4 is j**2 - (j**2 - j) = j for k = 2j and
     (j**2 + j) - j**2 = j for k = 2j + 1, which is k // 2 = S(k + 1) - S(k).
     """
-    if not 0 <= current_size <= target_n:
-        raise ValueError(f"current size {current_size} is outside [0, target {target_n}]")
+    if not (geometry.is_int(current_size) and geometry.is_int(target_n) and 0 <= current_size <= target_n):
+        raise ValueError(f"need integers 0 <= current size <= target, got {current_size!r} and {target_n!r}")
     return (target_n - 1) ** 2 // 4 - (current_size - 1) ** 2 // 4
 
 
 def search_space(dim: int, n: int) -> int:
     """Cost model of the naive search: C(3**d, n) boards, C(n, 3) triples each."""
+    if not geometry.is_int(n):
+        raise ValueError(f"board size must be an integer, got {n!r}")
     return comb(3 ** geometry.check_dimension(dim), n) * comb(n, 3)
 
 
@@ -477,12 +480,11 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
     """Write a checkpoint atomically and durably (JSON, versioned): the data
     reaches the disk before the rename makes it the checkpoint, and a failed
     write or rename removes its temporary file."""
-    plan = _plan(SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry))
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {"dim": cp.dim, "n": cp.n, "mode": cp.mode, "symmetry": cp.symmetry},
-        "plan": asdict(plan),
+        "config": {k: getattr(cp.config, k) for k in _SEARCH_FIELDS},
+        "plan": asdict(_plan(cp.config)),
         "units": cp.units,
     }
     tmp = f"{path}.tmp"
@@ -518,17 +520,12 @@ def checkpoint_load(path) -> Checkpoint:
         cfg = payload["config"]
         if not isinstance(cfg, dict):
             raise CheckpointError(f"checkpoint config {cfg!r} is not a mapping")
-        cp = Checkpoint(
-            dim=cfg["dim"],
-            n=cfg["n"],
-            mode=cfg["mode"],
-            symmetry=cfg["symmetry"],
-            units=payload["units"],
-        )
+        fields = {k: cfg[k] for k in _SEARCH_FIELDS}
+        units = payload["units"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} is missing field {exc}") from exc
     try:
-        config = SearchConfig(dim=cp.dim, n=cp.n, mode=cp.mode, symmetry=cp.symmetry)
+        config = SearchConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} describes no valid search: {exc}") from exc
     saved = payload.get("plan")
@@ -542,8 +539,8 @@ def checkpoint_load(path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint {path} was written by another walk plan; fields that differ: {', '.join(differ)}"
         )
-    _check_units(plan, cp.units)
-    return cp
+    _check_units(plan, units)
+    return Checkpoint(config, units)
 
 
 def _units(plan: _Plan) -> list[int]:
@@ -604,8 +601,9 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
     str(u); a unit not there starts afresh) and merge the units.  No unit
     starts after a stop or an interrupt, and each unit stops at the node
-    budget left when it starts.  The unit map is saved at the end and at the
-    first stop check or unit end a report_interval after the last save.
+    budget left when it starts.  The unit map is saved, in card order, at the
+    end and at the first stop check or unit end a report_interval after the
+    last save.
     Before any unit starts, a naive search over its budget is refused with
     BudgetExceededError, and with ValueError a checkpoint path that names
     no file in a writable directory (such as "", "a/" or a directory)."""
@@ -636,7 +634,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
 
     def save():
         nonlocal next_report
-        checkpoint_save(Checkpoint(config.dim, config.n, config.mode, config.symmetry, frontiers), path)
+        checkpoint_save(Checkpoint(config, {str(u): frontiers[str(u)] for u in units if str(u) in frontiers}), path)
         next_report = time.monotonic() + config.report_interval
 
     def report():
@@ -772,11 +770,11 @@ def _off_path(plan: _Plan, u: int, path: list[int], reach: bool) -> str | None:
 
 def _check_units(plan: _Plan, units) -> None:
     """Reject a unit map the run could not have saved: each key must name a
-    work unit u of this search and hold a frontier of u's walk.  Its stack
-    holds no leaf card and, followed by its next card, is a path of u's
-    walk (see _off_path); its witness is none, or plan.size cards: the
-    base, then a path of u's walk.  Its best is the score of its witness
-    (-1 with none), and 0 <= pruned <= nodes.
+    work unit u of this search and hold a frontier of u's walk, the
+    _FRONTIER_KEYS alone.  Its stack holds no leaf card and, followed by its
+    next card, is a path of u's walk (see _off_path); its witness is none,
+    or plan.size cards: the base, then a path of u's walk.  Its best is the
+    score of its witness (-1 with none), and 0 <= pruned <= nodes.
 
     A resumed walk rebuilds its gain array from the stack without
     recounting, so a frontier it would misread must fail here rather than
@@ -794,6 +792,8 @@ def _check_units(plan: _Plan, units) -> None:
         for field in _FRONTIER_KEYS:
             if field not in state:
                 raise CheckpointError(f"checkpoint unit {key} is missing field {field!r}")
+        if extra := sorted(state.keys() - set(_FRONTIER_KEYS)):
+            raise CheckpointError(f"checkpoint unit {key} holds fields beyond a frontier: {', '.join(extra)}")
         u = int(key)
         stack, c = state["stack"], state["next_card"]
         if not isinstance(stack, list) or len(stack) >= plan.size - top:
@@ -825,25 +825,24 @@ def _check_units(plan: _Plan, units) -> None:
 def resume_search(checkpoint_path, **run) -> SearchResult:
     """Continue the search held by the checkpoint at checkpoint_path to
     completion (or the next stop), with the other SearchConfig fields from
-    `run`.  `run` may restate dim, n, mode and symmetry, but the search it
-    names must walk the file's plan, else CheckpointError: (dim, n, mode,
-    symmetry) alike, except that a naive search, whose plan ignores the
-    symmetry flag, resumes under either.  CheckpointError also if
-    checkpoint_load refuses the file.
+    `run`.  `run` may restate the _SEARCH_FIELDS, but the search it names
+    must walk the file's plan, else CheckpointError: those fields alike,
+    except that a naive search, whose plan ignores the symmetry flag,
+    resumes under either.  CheckpointError also if checkpoint_load refuses
+    the file.
 
     A run resumed any number of times ends with the same maximum and
     witness as an uninterrupted one, and at one worker with the same
     counters; resuming a finished run returns its result at once.
     """
     cp = checkpoint_load(checkpoint_path)
-    saved = SearchConfig(cp.dim, cp.n, cp.mode, cp.symmetry)
-    config = replace(saved, **run, checkpoint_path=str(checkpoint_path))
-    if _plan(saved) != _plan(config):
-        held, asked = ((c.dim, c.n, c.mode, c.symmetry) for c in (saved, config))
+    config = replace(cp.config, **run, checkpoint_path=str(checkpoint_path))
+    if _plan(cp.config) != _plan(config):
+        held, asked = (tuple(getattr(c, k) for k in _SEARCH_FIELDS) for c in (cp.config, config))
         raise CheckpointError(
-            f"checkpoint {checkpoint_path} holds the search (dim, n, mode, symmetry) = {held}, not {asked}"
+            f"checkpoint {checkpoint_path} holds the search ({', '.join(_SEARCH_FIELDS)}) = {held}, not {asked}"
         )
-    return _run(config, {u: {k: f[k] for k in _FRONTIER_KEYS} for u, f in cp.units.items()})
+    return _run(config, cp.units)
 
 
 @dataclass(frozen=True)

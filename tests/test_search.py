@@ -159,6 +159,13 @@ class TestBoundRemaining:
         with pytest.raises(ValueError):
             bound_remaining(-1, 7)
 
+    @pytest.mark.parametrize("size", [True, 2.0, 2.5])
+    def test_rejects_non_int_size(self, size):
+        with pytest.raises(ValueError, match="integers"):
+            bound_remaining(size, 5)
+        with pytest.raises(ValueError, match="integers"):
+            bound_remaining(0, size)
+
     def test_closed_form_is_the_defining_sum(self):
         for n in range(90):
             for a in range(n + 1):
@@ -232,6 +239,11 @@ class TestNaive:
         from math import comb
 
         assert search_space(3, 12) == comb(27, 12) * comb(12, 3)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 2.5])
+    def test_search_space_rejects_non_int_size(self, n):
+        with pytest.raises(ValueError, match="board size must be an integer"):
+            search_space(3, n)
 
 
 class TestPruned:
@@ -425,7 +437,7 @@ class TestResumeInsideBlocks:
             st[key] -= sum(f[key] for f in units.values())
         units[str(unit)] = st
         path = tmp_path / "mid.ckpt"
-        checkpoint_save(Checkpoint(4, 7, "pruned", True, units), path)
+        checkpoint_save(Checkpoint(SearchConfig(4, 7), units), path)
         assert outcome(resume_search(path)) == outcome(pruned(4, 7))
 
     def test_stop_and_resume_chain(self, tmp_path):
@@ -569,7 +581,7 @@ class TestComplementRows:
 
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         path = tmp_path / "units.ckpt"
-        checkpoint_save(Checkpoint(3, 18, "pruned", True, {}), path)
+        checkpoint_save(Checkpoint(SearchConfig(3, 18), {}), path)
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
 
     def test_stop_and_resume_chain(self, tmp_path):
@@ -614,7 +626,7 @@ class TestComplementRows:
         # A version 2 build walked the 18 cards of this row itself: its
         # plan, had it recorded one, would have size 18, not 9.
         path = tmp_path / "v2.ckpt"
-        checkpoint_save(Checkpoint(3, 18, "pruned", True, {}), path)
+        checkpoint_save(Checkpoint(SearchConfig(3, 18), {}), path)
         payload = json.loads(path.read_text())
         assert payload["plan"]["size"] == 9
         payload["plan"]["size"] = 18
@@ -789,9 +801,29 @@ class TestCheckpoint:
 
         with monkeypatch.context() as m, pytest.raises(OSError) as err:
             m.setattr(os, "replace", full_disk)
-            checkpoint_save(Checkpoint(3, 10, "pruned", True, {}), path)
+            checkpoint_save(Checkpoint(SearchConfig(3, 10), {}), path)
         assert err.value.errno == errno.ENOSPC
         assert sorted(tmp_path.iterdir()) == [path] and path.read_bytes() == saved
+
+    def test_file_holds_the_search_not_the_run_settings(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        assert not pruned(3, 10, threads=2, checkpoint_path=str(path), stop_after_nodes=30_000).complete
+        assert checkpoint_load(path).config == SearchConfig(3, 10)
+        assert json.loads(path.read_text())["config"] == {"dim": 3, "n": 10, "mode": "pruned", "symmetry": True}
+
+    def test_units_saved_in_card_order(self, tmp_path):
+        # Saved in the order units end, a pool's file would depend on
+        # scheduling; the run saves in card order whatever order it read.
+        plan = search._plan(SearchConfig(3, 10))
+        units = {}
+        for u in (3, 2):
+            units[str(u)] = search._fresh_state(u)
+            search._dfs_segment(plan, units[str(u)], u, seed_best=-1)
+        path = _units_checkpoint(tmp_path, units)
+        assert list(json.loads(path.read_text())["units"]) == ["3", "2"]
+        assert not resume_search(path, stop_after_nodes=30_000).complete
+        saved = list(json.loads(path.read_text())["units"])
+        assert len(saved) > 2 and saved == sorted(saved, key=int)
 
     def test_restated_search_resumes(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -908,7 +940,7 @@ print("ok")
 
 def _every_unit_exhausted(path):
     cp = checkpoint_load(path)
-    units = search._units(search._plan(SearchConfig(cp.dim, cp.n)))
+    units = search._units(search._plan(cp.config))
     return sorted(map(int, cp.units)) == units and all(search._exhausted(u, cp.units[str(u)]) for u in units)
 
 
@@ -945,7 +977,7 @@ def _edited_file(tmp_path, edit):
     """A d=3 n=10 checkpoint whose unit 2 has not begun, with `edit` applied
     to the file."""
     path = tmp_path / "edited.ckpt"
-    checkpoint_save(Checkpoint(3, 10, "pruned", True, {"2": search._fresh_state(2)}), path)
+    checkpoint_save(Checkpoint(SearchConfig(3, 10), {"2": search._fresh_state(2)}), path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -1017,7 +1049,7 @@ class TestCheckpointValidation:
 def _units_checkpoint(tmp_path, units):
     """A d=3 n=10 checkpoint whose unit map is `units`."""
     path = tmp_path / "units.ckpt"
-    checkpoint_save(Checkpoint(3, 10, "pruned", True, units), path)
+    checkpoint_save(Checkpoint(SearchConfig(3, 10), units), path)
     return path
 
 
@@ -1048,6 +1080,7 @@ BAD_UNITS = {
         {"2": {**UNIT_2, "witness": [0, 1, 3, 6, 9, 12, 15, 18, 21, 24]}},
         "no board of unit 2's walk",
     ),
+    "unit holds an extra field": ({"2": {**UNIT_2, "done": True}}, "holds fields beyond a frontier: done"),
     "witness out of order": ({"2": {**UNIT_2, "witness": [0, 1, 2, 4, 3, 5, 6, 7, 8, 9]}}, "no board of unit 2's walk"),
     # False == 0 and 1.0 == 1, so these match the base [0, 1] as values.
     "witness base card a bool": ({"2": {**UNIT_2, "witness": [False, *range(1, 10)]}}, "is not 10 distinct cards"),
