@@ -147,11 +147,16 @@ def _cmd_search(args) -> int:
 
 
 def _write_pretty(rows, out) -> None:
-    fmt = "{:>3} {:>9} {:>14} {:>12} {:>10} {:>9}\n"
-    out.write(fmt.format("n", "max_sets", "search_space", "nodes", "elapsed_s", "complete"))
+    """Write the table right-aligned, each column as wide as its widest
+    cell and never narrower than its minimum width."""
+    lines = [("n", "max_sets", "search_space", "nodes", "elapsed_s", "complete")]
     for r in rows:
         complete = "true" if r.complete else "false"
-        out.write(fmt.format(r.n, r.max_sets, r.search_space, r.nodes_visited, f"{r.elapsed_seconds:.2f}", complete))
+        cells = (r.n, r.max_sets, r.search_space, r.nodes_visited, f"{r.elapsed_seconds:.2f}", complete)
+        lines.append([str(cell) for cell in cells])
+    widths = [max(w, *map(len, column)) for w, column in zip((3, 9, 14, 12, 10, 9), zip(*lines))]
+    for line in lines:
+        out.write(" ".join(map(str.rjust, line, widths)) + "\n")
 
 
 def _cmd_table(args) -> int:

@@ -376,6 +376,9 @@ class AffineMap(_Record):
     def __init__(self, matrix: tuple[tuple[int, ...], ...], translation: tuple[int, ...]):
         d = len(translation)
         check_dimension(d)
+        for v in (*translation, *(v for row in matrix for v in row)):
+            if not is_int(v):
+                raise ValueError(f"matrix and translation entries must be integers, got {v!r}")
         matrix = tuple(tuple(v % 3 for v in row) for row in matrix)
         translation = tuple(v % 3 for v in translation)
         if len(matrix) != d or any(len(row) != d for row in matrix):

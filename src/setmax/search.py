@@ -99,6 +99,10 @@ CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds
 # counter crosses a multiple of this power of two.
 _PROGRESS_EVERY = 4096
 
+# A run pauses only between slices of a unit's walk, each ending at the first
+# stop check this many nodes past its start.
+_SLICE = 1 << 18
+
 
 class BudgetExceededError(RuntimeError):
     """A naive search was refused because its estimated cost is too large."""
@@ -257,7 +261,6 @@ def _dfs_segment(
     *,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
-    on_progress=None,
 ) -> None:
     """Advance the depth-first walk described by `state` until the subtree is
     exhausted or a stop trigger fires, and return None: _exhausted tells which.
@@ -269,10 +272,9 @@ def _dfs_segment(
     the level ends _ends(plan, u).  `seed_best` only tightens pruning;
     best/witness in the state reflect boards actually visited here, which
     is what keeps merged parallel results deterministic.  The walk leaves
-    its frontier in `state` at every stop check (then calls `on_progress`,
-    when given) and when it stops or ends.  A KeyboardInterrupt, which can
-    land inside a step, propagates with `state` at the frontier of the last
-    check.
+    its frontier in `state` at every stop check and when it stops or ends.
+    A KeyboardInterrupt, which can land inside a step, propagates with
+    `state` at the frontier of the last check.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk enters
@@ -332,12 +334,14 @@ def _dfs_segment(
     pruned one adds a prune too, so a run of pruned candidates changes
     neither.
 
-    The stop trigger is checked between steps, once the node counter has
-    grown by _PROGRESS_EVERY since the last check.  A walk whose every
-    step handles one candidate (a push, a skip, or a level's leaves or
-    last prune run with its pop) checks after each push, skip and pop;
-    this one after each push and pop, and after a skip only once nodes
-    has reached the check, the one place the other walk's check fires.
+    The stop trigger is checked on entry, then between steps once the
+    node counter has reached the next multiple of _PROGRESS_EVERY above
+    the last check, so a walk stopped at a check and resumed checks at the
+    same node counts as one never stopped.  A walk whose every step
+    handles one candidate (a push, a skip, or a level's leaves or last
+    prune run with its pop) checks after each push, skip and pop; this
+    one after each push and pop, and after a skip only once nodes has
+    reached the check, the one place the other walk's check fires.
     Both do the same work in the same order, so their checks fire at the
     same node counts and a stop leaves the same best, witness and
     counters.  Only a level that a skip ended is saved differently: this
@@ -381,7 +385,7 @@ def _dfs_segment(
     # child level, from the level's first look-ahead on.
     head_at = [None] * n
 
-    next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
+    next_check = state["nodes"]  # the first check is on entry
     # nodes = ahead + c and pruned = nodes - kept.
     ahead = state["nodes"] - c
     kept = state["nodes"] - state["pruned"]
@@ -396,12 +400,10 @@ def _dfs_segment(
         if ahead + c >= next_check:
             # The frontier (stack, c) is saved before candidate c is
             # processed, so a resumed run recounts nothing.
-            next_check = ahead + c + _PROGRESS_EVERY
             if stop_after_nodes is not None and ahead + c >= stop_after_nodes:
                 break
             _leave()
-            if on_progress is not None:
-                on_progress()
+            next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
 
         limit = limit_at[size]
         if size == leaf:
@@ -554,16 +556,9 @@ def _exhausted(u: int, frontier: dict | None) -> bool:
 
 
 def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int, stop_after_nodes: int | None) -> dict:
-    """Walk work unit u on from `state` in a pool worker and return the
-    frontier the walk leaves.  The worker ignores SIGINT except while it
-    walks: a Ctrl-C that killed an idle worker would break the pool."""
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        _dfs_segment(plan, state, u, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    """Walk one slice of work unit u on from `state` in a pool worker and
+    return the frontier the walk leaves."""
+    _dfs_segment(plan, state, u, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
     return state
 
 
@@ -599,11 +594,13 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
 
 def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
-    str(u); a unit not there starts afresh) and merge the units.  No unit
-    starts after a stop or an interrupt, and each unit stops at the node
-    budget left when it starts.  The unit map is saved, in card order, at the
-    end and at the first stop check or unit end a report_interval after the
-    last save.
+    str(u); a unit not there starts afresh) and merge the units.  A unit
+    walks in slices of _SLICE nodes, in this process at one worker and as
+    pool tasks above that.  A slice end is the run's one pause point: the
+    run keeps the unit's frontier, seeds later slices with the best so far,
+    saves the unit map, in card order, a report_interval after the last
+    save (and at the end), and starts no slice after an interrupt or once
+    its node budget is spent.
     Before any unit starts, a naive search over its budget is refused with
     BudgetExceededError, and with ValueError a checkpoint path that names
     no file in a writable directory (such as "", "a/" or a directory)."""
@@ -642,34 +639,30 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
             save()
 
     def budget(state):
-        """The stop_after_nodes of a unit walk from `state`: the run's
-        budget left, on top of the nodes the state already holds."""
-        return None if stop is None else stop - spent + state["nodes"]
+        """The stop_after_nodes of a slice from `state`: a slice's worth, or
+        the run's budget left, on top of the nodes the state already holds."""
+        return state["nodes"] + (_SLICE if stop is None else min(_SLICE, stop - spent))
 
     def keep(u, state, before):
-        """Record unit u's frontier and say whether another unit may start."""
+        """Record unit u's frontier and say whether the run has budget left."""
         nonlocal best, spent
         frontiers[str(u)] = state
         best = max(best, state["best"])
         spent += state["nodes"] - before
-        return _exhausted(u, state) and (stop is None or spent < stop)
+        return stop is None or spent < stop
 
+    going = True
     if config.threads == 1:
         try:
             for u in pending:
                 state = frontiers.setdefault(str(u), _fresh_state(u))
-                before = state["nodes"]
-                _dfs_segment(
-                    plan,
-                    state,
-                    u,
-                    seed_best=best,
-                    stop_after_nodes=budget(state),
-                    on_progress=report,
-                )
-                if not keep(u, state, before):
+                while going and not _exhausted(u, state):
+                    before = state["nodes"]
+                    _dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=budget(state))
+                    going = keep(u, state, before)
+                    report()
+                if not going:
                     break
-                report()
         except KeyboardInterrupt:  # the unit keeps the frontier of its last check
             pass
     else:
@@ -680,26 +673,28 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
         with futures.ProcessPoolExecutor(
             max_workers=config.threads, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
         ) as pool:
-            waiting = iter(pending)
+            waiting = pending[::-1]  # the next unit last
             running = {}
 
             def submit_next():
-                u = next(waiting, None)
-                if u is not None:
+                if waiting:
+                    u = waiting.pop()
                     state = frontiers.get(str(u)) or _fresh_state(u)
                     running[pool.submit(_unit_worker, plan, u, state, best, budget(state))] = (u, state["nodes"])
 
             for _ in range(config.threads):
                 submit_next()
-            going = True
             while running:
                 # A Ctrl-C that lands anywhere in this loop starts no further
-                # unit, and the running units still return their frontiers.
+                # slice, and the running slices still return their frontiers.
                 try:
                     ready, _ = futures.wait(list(running), return_when=futures.FIRST_COMPLETED)
                     for fut in ready:
                         u, before = running.pop(fut)
-                        going = keep(u, fut.result(), before) and going
+                        state = fut.result()
+                        going = keep(u, state, before) and going
+                        if not _exhausted(u, state):
+                            waiting.append(u)  # its next slice goes first
                         if going:
                             submit_next()
                     report()

@@ -238,6 +238,15 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0].split()[:2] == ["n", "max_sets"]
 
+    def test_pretty_widens_columns_to_fit(self):
+        # d=4 n=10 searches C(81, 10) * C(10, 3) boards and triples, a
+        # 15-digit cell.
+        rows = [search.TableRow(n, 12, search.search_space(4, n), 5_048_743, 1.5, False) for n in (8, 10, 12)]
+        buf = io.StringIO()
+        cli._write_pretty(rows, buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 4 and len({len(line) for line in lines}) == 1
+
     def test_pretty_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "t.txt"
         argv = ("table", "--props", "2", "--from", "3", "--to", "4", "--pretty")

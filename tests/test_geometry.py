@@ -266,6 +266,16 @@ class TestAffineMap:
         with pytest.raises(SingularMapError):
             AffineMap(((1, 1), (2, 2)), (0, 0))
 
+    @pytest.mark.parametrize(
+        "matrix,translation",
+        [(((1.5, 0), (0, 1)), (0, 0)), (((1, 0), (0, 1)), (0.5, 0)), (((True, 0), (0, 1)), (0, 0)),
+         (((1, 0), (0, 1)), ("1", 0))],
+        ids=["float entry", "float translation", "bool entry", "str translation"],
+    )
+    def test_entries_that_are_not_integers_rejected(self, matrix, translation):
+        with pytest.raises(ValueError, match="must be integers"):
+            AffineMap(matrix, translation)
+
     def test_translation_preserves_fourteen(self):
         from setmax.catalog import fixture
 

@@ -348,11 +348,17 @@ class TestReferenceWalk:
         # engine's frontier is the one-by-one walk's at the same node
         # count, once levels whose next card has reached their limit are
         # popped: however the engine groups candidates into steps, it
-        # checks only between whole candidates, never inside a push.
+        # checks only between whole candidates, never inside a push.  A
+        # walk asked to stop one node on stops at its next check, which is
+        # where the uninterrupted walk checks too.
         plan = search._plan(SearchConfig(dim, n))
         state = search._fresh_state(2)
         seen = []
-        search._dfs_segment(plan, state, 2, on_progress=lambda: seen.append(json.loads(json.dumps(state))))
+        while True:
+            search._dfs_segment(plan, state, 2, stop_after_nodes=state["nodes"] + 1)
+            if search._exhausted(2, state):
+                break
+            seen.append(json.loads(json.dumps(state)))
         assert len(seen) >= 8
         at = dict.fromkeys(st["nodes"] for st in seen)
         reference_walk(dim, n, stop_at=seen[-1]["nodes"] + 1, at=at)
@@ -471,9 +477,9 @@ class TestParallel:
         assert naive(3, 5, threads=2).max_sets == 2
 
     def test_pool_units_stop_at_the_budget(self):
-        # Each of the two running units stops at the budget left when it
+        # Each of the two running slices stops at the budget left when it
         # started, overshooting it by less than a progress interval plus a
-        # deck; no unit starts after a stop.
+        # deck; no slice starts after a stop.
         budget = 100_000
         r = pruned(4, 10, threads=2, stop_after_nodes=budget)
         assert not r.complete
@@ -485,26 +491,17 @@ class TestParallel:
         path = _units_checkpoint(tmp_path, {})
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 10))
 
-    def test_interrupted_unit_is_not_done(self, tmp_path, monkeypatch):
-        # The pool forks, so the patched walk reaches the workers: unit 2
-        # stops at its first stop check, as a walk that catches
-        # KeyboardInterrupt does.
-        walk = search._dfs_segment
-
-        def stop_unit_2(plan, state, u, **kw):
-            if u == 2:
-                kw["stop_after_nodes"] = 1
-            return walk(plan, state, u, **kw)
-
-        monkeypatch.setattr(search, "_dfs_segment", stop_unit_2)
-        path = tmp_path / "units.ckpt"
-        r = pruned(3, 10, threads=2, checkpoint_path=str(path))
-        assert not r.complete
-        # Unit 2 keeps the frontier it stopped at.
-        unit_2 = checkpoint_load(path).units["2"]
-        assert unit_2["nodes"] > 0 and not search._exhausted(2, unit_2)
-        monkeypatch.undo()
-        ref = pruned(3, 10)
+    def test_pool_saves_hold_running_units(self, tmp_path, monkeypatch):
+        # The pool's saves come at slice ends, so a periodic save holds
+        # the frontier a running unit's last slice left, not only units
+        # that ended.  The clock ticks once per reading: every slice end
+        # comes a report_interval after the last save.
+        monkeypatch.setattr(search, "_SLICE", 4096)
+        saves = _tick_and_record_saves(monkeypatch)
+        path = tmp_path / "pool.ckpt"
+        assert pruned(3, 11, threads=2, checkpoint_path=str(path), report_interval=1).complete
+        assert any(f["stack"] for _, units in saves[:-1] for f in units.values())
+        ref = pruned(3, 11)
         r = resume_search(path, threads=2)
         assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
 
@@ -831,33 +828,35 @@ class TestCheckpoint:
         assert outcome(resume_search(path, dim=3, n=10, mode="pruned", symmetry=True)) == outcome(pruned(3, 10))
 
     def test_report_clock_spans_units(self, tmp_path, monkeypatch):
-        # A fake clock that ticks once per reading.  No unit of d=4 n=7
-        # reads it as often as `interval` times, yet the run saves once
-        # per interval, and not once per unit.
-        clock = [0.0]
-
-        def monotonic():
-            clock[0] += 1
-            return clock[0]
-
-        saves = []
-        real_save = search.checkpoint_save
-
-        def save(cp, path):
-            saves.append(clock[0])
-            real_save(cp, path)
-
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
-        monkeypatch.setattr(search, "checkpoint_save", save)
+        # A fake clock that ticks once per reading, and slices small enough
+        # that units span many of them.  No unit of d=4 n=7 reads it as
+        # often as `interval` times, yet the run saves once per interval,
+        # and not once per unit or once per slice.
+        monkeypatch.setattr(search, "_SLICE", search._PROGRESS_EVERY)
+        saves = _tick_and_record_saves(monkeypatch)
         interval = 100
         path = tmp_path / "run.ckpt"
         assert pruned(4, 7, checkpoint_path=str(path), report_interval=interval).complete
         units = checkpoint_load(path).units
-        # A unit reads the clock once per progress check and once at its end.
-        assert max(f["nodes"] for f in units.values()) // search._PROGRESS_EVERY + 1 < interval
-        periodic = saves[:-1]
+        # A unit reads the clock once per slice end.
+        slices = max(f["nodes"] for f in units.values()) // search._SLICE + 1
+        assert 10 < slices < interval
+        periodic = [t for t, _ in saves[:-1]]
         assert 3 <= len(periodic) and len(saves) < len(units)
         assert all(interval <= b - a <= interval + 1 for a, b in zip([1.0] + periodic, periodic))
+
+    def test_budgeted_run_ignores_the_slice_size(self, tmp_path, monkeypatch):
+        # A stop check falls at the same node count whether or not the
+        # walk paused at a slice end before it, so a budgeted one-worker
+        # run stops at the same frontier whatever the slice size.
+        seen = set()
+        for size in (4096, 1 << 18, 1 << 40):
+            monkeypatch.setattr(search, "_SLICE", size)
+            path = tmp_path / f"{size}.ckpt"
+            r = pruned(4, 10, checkpoint_path=str(path), stop_after_nodes=1_500_000)
+            assert not r.complete
+            seen.add(json.dumps([outcome(r), json.loads(path.read_text())["units"]]))
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("joined", [False, True])
     def test_interrupt_inside_a_step(self, tmp_path, monkeypatch, joined):
@@ -936,6 +935,27 @@ print("ok")
         path.write_text('{"hello": 1}')
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+
+def _tick_and_record_saves(monkeypatch):
+    """Make search's clock tick once per reading, and return the list each
+    checkpoint save appends (clock before the save, saved units) to."""
+    clock = [0.0]
+
+    def monotonic():
+        clock[0] += 1
+        return clock[0]
+
+    saves = []
+    real_save = search.checkpoint_save
+
+    def save(cp, path):
+        saves.append((clock[0], json.loads(json.dumps(cp.units))))
+        real_save(cp, path)
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(search, "checkpoint_save", save)
+    return saves
 
 
 def _every_unit_exhausted(path):
@@ -1097,21 +1117,19 @@ class TestUnitsCheckpointValidation:
     def test_every_frontier_of_the_walk_accepted(self, dim, n, mode):
         # Every frontier a unit's walk leaves passes the check: fresh, at
         # each progress check and at the end, for every unit of the row,
-        # each seeded as a one-worker run seeds it.
+        # each seeded as a one-worker run seeds it.  A walk asked to stop
+        # one node on stops at its next check.
         plan = search._plan(SearchConfig(dim, n, mode=mode))
         checked = count()
         best = -1
         for u in search._units(plan):
             state = search._fresh_state(u)
-
-            def check():
+            while True:
                 search._check_units(plan, {str(u): json.loads(json.dumps(state))})
                 next(checked)
-
-            check()
-            search._dfs_segment(plan, state, u, seed_best=best, on_progress=check)
-            check()
-            assert search._exhausted(u, state)
+                if search._exhausted(u, state):
+                    break
+                search._dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=state["nodes"] + 1)
             best = max(best, state["best"])
         assert next(checked) > 2 * len(search._units(plan))
 
