@@ -32,13 +32,23 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 THREADS_ENV = "SET_SEARCH_THREADS"
 
 
+def integer(text: str) -> int:
+    """A decimal integer: ASCII digits after an optional minus sign.  int()
+    alone would also read "1_0", "+1", " 1" and other scripts' digits
+    ("３", "٣")."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _threads(args) -> int:
     """The worker count: --threads, else $SET_SEARCH_THREADS, else 1."""
     if args.threads is not None:
         return args.threads
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        value = int(raw)
+        value = integer(raw)
         if value < 1:
             raise ValueError
     except ValueError:
@@ -61,38 +71,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count the sets in a board file")
     p.add_argument("board_file", help="board text file (one card per line, digits 0-2)")
-    p.add_argument("--props", type=int, default=None, help="number of properties (inferred by default)")
+    p.add_argument("--props", type=integer, default=None, help="number of properties (inferred by default)")
     p.add_argument("--list-lines", action="store_true", help="also print each set, three cards per stanza")
     p.add_argument("--oracle", action="store_true", help="use the brute-force triple counter")
 
     # Each flag's dest is its SearchConfig field, and an omitted flag stays
     # None, so SearchConfig alone holds the defaults.
     p = sub.add_parser("search", help="maximum sets over all boards of a given size")
-    p.add_argument("--props", dest="dim", metavar="PROPS", type=int, required=True)
-    p.add_argument("--cards", dest="n", metavar="CARDS", type=int, required=True)
+    p.add_argument("--props", dest="dim", metavar="PROPS", type=integer, required=True)
+    p.add_argument("--cards", dest="n", metavar="CARDS", type=integer, required=True)
     p.add_argument("--mode", choices=("naive", "pruned"))
     p.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
                    help="fix the first two cards via affine equivalence (pruned mode)")
-    p.add_argument("--threads", type=int, help=f"worker count (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=integer, help=f"worker count (default ${THREADS_ENV} or 1)")
     p.add_argument("--checkpoint", dest="checkpoint_path", metavar="CHECKPOINT",
                    help="checkpoint file to write/resume")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
-    p.add_argument("--stop-after-nodes", type=int, help="stop (checkpointing) after visiting this many nodes")
+    p.add_argument("--stop-after-nodes", type=integer, help="stop (checkpointing) after visiting this many nodes")
     p.add_argument("--report-interval", type=float, help="seconds between periodic checkpoints")
-    p.add_argument("--budget", dest="naive_budget", metavar="BUDGET", type=int,
+    p.add_argument("--budget", dest="naive_budget", metavar="BUDGET", type=integer,
                    help="naive-mode triple-check budget")
 
     p = sub.add_parser("table", help="maximum sets for a range of board sizes (CSV)")
-    p.add_argument("--props", type=int, required=True)
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    p.add_argument("--props", type=integer, required=True)
+    p.add_argument("--from", dest="n_from", type=integer, required=True)
+    p.add_argument("--to", dest="n_to", type=integer, required=True)
     p.add_argument("--out", default=None, help="output path ('-' or default: stdout)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=integer, default=None)
     p.add_argument("--pretty", action="store_true", help="aligned table instead of CSV")
 
     p = sub.add_parser("cmm", help="greedy consecutive-maximization trace (CSV)")
-    p.add_argument("--props", type=int, required=True)
-    p.add_argument("--upto", type=int, default=None, help="stop after this many turns")
+    p.add_argument("--props", type=integer, required=True)
+    p.add_argument("--upto", type=integer, default=None, help="stop after this many turns")
     p.add_argument("--out", default=None, help="CSV output path ('-' or default: stdout)")
     p.add_argument("--board-out", default=None, help="write the final board here ('-' for stdout)")
 

@@ -23,8 +23,25 @@ Pruning is strict (a branch is cut only when it cannot *reach* the current
 best), which means every board achieving the final maximum is visited no
 matter how the shared best value evolves.  That makes the maximum and the
 witness independent of worker scheduling; the node and prune counters of a
-parallel run are not, because each unit prunes against the best value
-known when it starts.
+parallel run are not when a walked board beats the floor below, because
+each unit then prunes against the best value known when it starts.
+
+A max-walk over its own n cards with 2n <= 3**d starts above the greedy
+board.  Its plan's floor is g, the set count of the n-card prefix of the
+greedy trace (heuristics.cmm_run), and every slice prunes against at
+least g + 1.  The prefix is a real board, so the maximum M >= g.  A board
+scoring g + 1 or more has every prefix bound at least g + 1, so strict
+pruning at g + 1 visits it.  So if M > g the walk visits every maximizer,
+and its maximum and witness are those of the walk without a floor, at any
+worker count.  Otherwise no walked board scores above g, M = g, and the
+witness is the greedy prefix (with symmetry on, moved by an affine map
+onto a board holding cards 0 and 1).  Then every slice prunes against
+g + 1 whatever the schedule, so a pool counts nodes and prunes exactly as
+one worker does.  Every other plan has floor -1 and prunes as before: the
+naive plan prunes nothing, a min-walk scores complements and is left
+without one, and a near-full row would pay more for its prefix than for
+its walk (d=7 n=2184 on a 2-vCPU machine: about 0.5 s for the prefix,
+0.02 s for the row).
 
 Every run splits the walk at its top level.  Work unit u, card u and its
 subtree, is the walk from {stack: [], next_card: u} inside the level ends
@@ -63,8 +80,9 @@ prunes count the min-walk, and a saved frontier and witness hold its
 k-card boards; the result's witness is their complement.
 
 _plan is the one place that decides the walk: board size, base, first
-candidate, score offset, gain step and the slack of each level (a
-candidate is pruned iff its score plus that slack is below the best).
+candidate, score offset, gain step, the slack of each level (a
+candidate is pruned iff its score plus that slack is below the best) and
+the floor.
 Every checkpoint records the plan, and a file of another plan is refused.
 The naive engine is the plan whose slack is L at every level.  Its offset
 is 0 and its step 1, so every score is at least 0, while no best (nor a
@@ -85,7 +103,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from math import comb, inf
 
-from . import geometry
+from . import geometry, heuristics
 from .counting import Board, add_to_gain, count_sets
 
 DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
@@ -210,6 +228,7 @@ class _Plan:
     offset: int
     step: int
     slack: tuple[int, ...]
+    floor: int
 
     def limit(self, size: int) -> int:
         """The end of the candidate range on a board of `size` cards: the
@@ -219,37 +238,65 @@ class _Plan:
 
 def _plan(config: SearchConfig) -> _Plan:
     """The walk that answers `config`: a pruned row with 3 <= k = 3**d - n < n
-    walks the k missing cards, every other row its own n cards."""
+    walks the k missing cards, every other row its own n cards.  A pruned
+    row with 2n <= 3**d has the greedy prefix's set count as its floor."""
     dim, n = config.dim, config.n
     pruned = config.mode == "pruned"
     base = (0, 1) if pruned and config.symmetry else ()
     k = 3 ** dim - n
     if pruned and 3 <= k < n:
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
-        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k)
+        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k, -1)
     slack = tuple(bound_remaining(size + 1, n) for size in range(n)) if pruned else (geometry.line_count(dim),) * n
-    return _Plan(dim, n, base, len(base), 0, 1, slack)
+    floor = _greedy(dim, n)[0] if pruned and 2 * n <= 3 ** dim else -1
+    return _Plan(dim, n, base, len(base), 0, 1, slack, floor)
+
+
+@lru_cache(maxsize=16)
+def _greedy(dim: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The set count and the cards of the greedy trace's n-card prefix."""
+    trace = heuristics.cmm_run(dim, n)
+    return trace.cumulative_at(n), tuple(t.card for t in trace.turns)
+
+
+@lru_cache(maxsize=16)
+def _floor_witness(plan: _Plan) -> tuple[int, ...]:
+    """The greedy prefix whose set count is the plan's floor.  With a base
+    it is moved onto a board holding the base cards 0 and 1: from d = 3 on
+    the trace's first two cards are 0 and 9, and swapping the last digit of
+    every card with its third-last is an affine map that fixes 0 and sends
+    9 to 1."""
+    cards = _greedy(plan.dim, plan.size)[1]
+    if plan.base and cards[1] != 1:
+        d = plan.dim
+        swap = {d - 1: d - 3, d - 3: d - 1}
+        matrix = tuple(tuple(int(j == swap.get(i, i)) for j in range(d)) for i in range(d))
+        cards = tuple(map(geometry.AffineMap(matrix, (0,) * d).apply_card, cards))
+    return cards
 
 
 @lru_cache(maxsize=8)
-def _start(plan: _Plan) -> tuple[int, tuple[int, ...]]:
-    """The score and gain array of the plan's base board.  Built once per
+def _start(dim: int, base: tuple[int, ...], offset: int, step: int) -> tuple[int, tuple[int, ...]]:
+    """The score and gain array of a plan's base board.  Built once per
     plan and shared by every walk, which copies an array before each push
-    adds to it."""
-    rows = geometry.third_rows(plan.dim)
-    cnt, gain, chosen = plan.offset, [0] * 3 ** plan.dim, []
-    for x in plan.base:
+    adds to it.  Keyed by the four fields it reads: a whole plan, slack
+    included, would be hashed again on every call."""
+    rows = geometry.third_rows(dim)
+    cnt, gain, chosen = offset, [0] * 3 ** dim, []
+    for x in base:
         cnt += gain[x]
-        add_to_gain(gain, chosen, x, rows, plan.step)
+        add_to_gain(gain, chosen, x, rows, step)
     return cnt, tuple(gain)
 
 
 def _ends(plan: _Plan, u: int) -> list[int]:
     """The end of each level (board size) of work unit u's walk: the top
     level, len(plan.base), holds card u alone and ends at u + 1, and every
-    other ends at plan.limit(level).  _dfs_segment walks inside these ends,
-    and _off_path refuses a saved path that leaves them."""
-    ends = list(map(plan.limit, range(plan.size)))
+    other ends at plan.limit(level), which rises by one per level.
+    _dfs_segment walks inside these ends, and _off_path refuses a saved
+    path that leaves them."""
+    first = plan.limit(0)
+    ends = list(range(first, first + plan.size))
     ends[len(plan.base)] = u + 1
     return ends
 
@@ -353,6 +400,11 @@ def _dfs_segment(
     level, fewer than limit), so a stop overshoots stop_after_nodes by
     less than a deck's worth beyond that check.
     """
+    # The check on entry: the state already holds the frontier it saves.
+    if stop_after_nodes is not None and state["nodes"] >= stop_after_nodes:
+        return
+    next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
+
     n, base_len = plan.size, len(plan.base)
 
     best = state["best"]
@@ -363,7 +415,7 @@ def _dfs_segment(
     # No gain entry rises by more than this in one push.
     rise = max(step, 0)
 
-    cnt, gain = _start(plan)
+    cnt, gain = _start(plan.dim, plan.base, plan.offset, step)
     limit_at = _ends(plan, u)
     chosen = list(plan.base)
 
@@ -385,25 +437,21 @@ def _dfs_segment(
     # child level, from the level's first look-ahead on.
     head_at = [None] * n
 
-    next_check = state["nodes"]  # the first check is on entry
     # nodes = ahead + c and pruned = nodes - kept.
     ahead = state["nodes"] - c
     kept = state["nodes"] - state["pruned"]
-
-    def _leave():
-        nodes = ahead + c
-        state.update(
-            stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept
-        )
 
     while True:
         if ahead + c >= next_check:
             # The frontier (stack, c) is saved before candidate c is
             # processed, so a resumed run recounts nothing.
-            if stop_after_nodes is not None and ahead + c >= stop_after_nodes:
+            nodes = ahead + c
+            if stop_after_nodes is not None and nodes >= stop_after_nodes:
                 break
-            _leave()
-            next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
+            state.update(
+                stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept
+            )
+            next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
 
         limit = limit_at[size]
         if size == leaf:
@@ -475,7 +523,8 @@ def _dfs_segment(
             size -= 1
             c += 1
             ahead -= c
-    _leave()
+    nodes = ahead + c
+    state.update(stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept)
 
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
@@ -565,7 +614,8 @@ def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int, stop_after_no
 def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: float, complete: bool) -> SearchResult:
     # Deterministic merge: best value over all units, witness from the
     # lexicographically first unit that achieved it.  Strict pruning
-    # guarantees every unit that contains a maximum board reports it.
+    # guarantees every unit that contains a maximum board reports it.  A
+    # best that no unit raised above the floor is the floor, with its board.
     best = -1
     witness = None
     nodes = 0
@@ -579,7 +629,9 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
         if f["best"] > best:
             best = f["best"]
             witness = f["witness"]
-    if witness is not None and plan.size != config.n:
+    if plan.floor >= 0 and best <= plan.floor:
+        best, witness = plan.floor, _floor_witness(plan)
+    elif witness is not None and plan.size != config.n:
         walked = set(witness)
         witness = [x for x in range(3 ** config.dim) if x not in walked]
     return SearchResult(
@@ -596,11 +648,11 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
     str(u); a unit not there starts afresh) and merge the units.  A unit
     walks in slices of _SLICE nodes, in this process at one worker and as
-    pool tasks above that.  A slice end is the run's one pause point: the
-    run keeps the unit's frontier, seeds later slices with the best so far,
-    saves the unit map, in card order, a report_interval after the last
-    save (and at the end), and starts no slice after an interrupt or once
-    its node budget is spent.
+    pool tasks above that, each seeded with the best so far and at least
+    the plan's floor + 1.  A slice end is the run's one pause point: the
+    run keeps the unit's frontier, saves the unit map, in card order, a
+    report_interval after the last save (and at the end), and starts no
+    slice after an interrupt or once its node budget is spent.
     Before any unit starts, a naive search over its budget is refused with
     BudgetExceededError, and with ValueError a checkpoint path that names
     no file in a writable directory (such as "", "a/" or a directory)."""
@@ -625,7 +677,8 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     frontiers = dict(frontiers or {})
     pending = [u for u in units if not _exhausted(u, frontiers.get(str(u)))]
     stop = config.stop_after_nodes
-    best = max([-1] + [f["best"] for f in frontiers.values()])
+    # The seed of every slice: the best so far, or the floor + 1 if higher.
+    best = max([plan.floor + 1] + [f["best"] for f in frontiers.values()])
     spent = sum(f["nodes"] for f in frontiers.values())
     next_report = t0 + config.report_interval
 
@@ -653,14 +706,23 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
 
     going = True
     if config.threads == 1:
+        # budget, keep and report, spelled out: most units end in one slice,
+        # and their set-up is much of a small row's time.
         try:
             for u in pending:
                 state = frontiers.setdefault(str(u), _fresh_state(u))
-                while going and not _exhausted(u, state):
+                while going:
                     before = state["nodes"]
-                    _dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=budget(state))
-                    going = keep(u, state, before)
-                    report()
+                    _dfs_segment(plan, state, u, seed_best=best,
+                                 stop_after_nodes=before + (_SLICE if stop is None else min(_SLICE, stop - spent)))
+                    if state["best"] > best:
+                        best = state["best"]
+                    spent += state["nodes"] - before
+                    going = stop is None or spent < stop
+                    if path is not None and time.monotonic() >= next_report:
+                        save()
+                    if _exhausted(u, state):
+                        break
                 if not going:
                     break
         except KeyboardInterrupt:  # the unit keeps the frontier of its last check

@@ -231,7 +231,7 @@ def test_criterion_7_checkpoint_resume():
 
     ok = ref.max_sets == 16
     details = []
-    for stop in (500_000, 1_800_000, 3_600_000):
+    for stop in (500_000, 1_800_000, 3_000_000):
         path = tempfile.mktemp(suffix=".ckpt")
         r = max_sets_pruned(
             SearchConfig(dim=3, n=13, checkpoint_path=path, stop_after_nodes=stop)

@@ -77,6 +77,59 @@ class TestSearch:
         assert lines[1] == "witness (canonical orbit):"
         assert "complete: true" in out
 
+    def test_greedy_witness_holds_the_fixed_cards(self, capsys):
+        # No board of these rows beats the greedy prefix, which holds card 9
+        # but not card 1 at d=4 n=9.  With symmetry the witness is that
+        # board moved onto cards 0 and 1, which every board of the labeled
+        # orbit holds; without, it is the prefix itself.
+        from setmax.counting import Board, count_sets
+        from setmax.heuristics import cmm_run
+
+        for d, n, flags, label in ((4, 9, (), "witness (canonical orbit):"), (3, 10, ("--no-symmetry",), "witness:")):
+            code, out, _ = run(capsys, "search", "--props", str(d), "--cards", str(n), *flags)
+            lines = out.splitlines()
+            greedy = cmm_run(d, n)
+            assert code == 0 and lines[:2] == [str(greedy.cumulative_at(n)), label]
+            witness = Board.parse("\n".join(lines[2:2 + n]), dim=d)
+            assert len(witness) == n and count_sets(witness) == greedy.cumulative_at(n)
+            if flags:
+                assert witness == greedy.final_board
+            else:
+                assert 1 not in greedy.final_board and {0, 1} <= set(witness.cards)
+
+    @pytest.mark.parametrize("value", ["1_6", "+16", " 16", "16 ", "\uff13", "\u0663", "0x10", "1.0", "-", ""])
+    def test_integer_flags_take_decimal_digits_only(self, capsys, value):
+        # int() reads the first four, U+FF13 and U+0663 (both a 3); argparse
+        # alone would start 16 or 3 workers.
+        parser = cli.build_parser()
+        for argv in (
+            ["search", "--props", "3", "--cards", "5", "--threads", value],
+            ["search", "--props", "3", "--cards", value],
+            ["search", "--props", "3", "--cards", "5", "--stop-after-nodes", value],
+            ["table", "--props", "2", "--from", "3", "--to", value],
+            ["cmm", "--props", "3", "--upto", value],
+            ["count", "--props", value, "board.txt"],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            assert exit_.value.code == cli.EXIT_PARSE
+            assert f"invalid integer value: {value!r}" in capsys.readouterr().err
+
+    def test_integer_flags_read_decimals(self):
+        args = cli.build_parser().parse_args(["search", "--props", "3", "--cards", "012", "--threads", "16",
+                                              "--stop-after-nodes", "-5", "--budget", "100"])
+        assert (args.dim, args.n, args.threads, args.stop_after_nodes, args.naive_budget) == (3, 12, 16, -5, 100)
+
+    @pytest.mark.parametrize("raw", ["1_0", "+2", " 2", "\uff13", "\u0663", "2.0"])
+    def test_threads_env_takes_decimal_digits_only(self, monkeypatch, raw):
+        monkeypatch.setenv(cli.THREADS_ENV, raw)
+        args = cli.build_parser().parse_args(["search", "--props", "3", "--cards", "5"])
+        with pytest.raises(ValueError, match=cli.THREADS_ENV) as err:
+            cli._threads(args)
+        assert repr(raw) in str(err.value)
+        monkeypatch.setenv(cli.THREADS_ENV, "10")
+        assert cli._threads(args) == 10
+
     def test_naive_d3_n4(self, capsys):
         code, out, _ = run(capsys, "search", "--props", "3", "--cards", "4", "--mode", "naive")
         assert code == 0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from concurrent import futures
+from dataclasses import replace
 from itertools import combinations, count
 from math import comb
 from types import SimpleNamespace
@@ -14,7 +15,8 @@ import pytest
 
 from setmax import cli, search
 from setmax.counting import Board, count_sets, count_sets_bruteforce, delta_sets
-from setmax.geometry import all_lines, third_rows
+from setmax.geometry import all_lines, decode_card, encode_card, third_rows
+from setmax.heuristics import cmm_run
 from setmax.search import (
     BudgetExceededError,
     Checkpoint,
@@ -44,13 +46,15 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None, floor=-1):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
-    candidates of each level one by one.  Runs to the end, or until
-    `stop_at` nodes are counted, and returns the state the engine saves:
-    the frontier (stack, next_card) and best, witness, nodes, pruned.
+    candidates of each level one by one.  A candidate is pruned iff its
+    score plus the bound is below the best so far or below floor + 1.
+    Runs to the end, or until `stop_at` nodes are counted, and returns the
+    state the engine saves: the frontier (stack, next_card) and best,
+    witness, nodes, pruned.
     An `at` dict, keyed by node counts, receives under each key it
     passes the state the walk would return with that stop_at.
     A `stats` dict receives the number of pushes under "pushes", and
@@ -114,7 +118,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
             if ncnt > best:
                 best, witness = ncnt, chosen + [c]
                 busy[-1] = True
-        elif prune and ncnt + bound[len(chosen) + 1] < best:
+        elif prune and ncnt + bound[len(chosen) + 1] < max(best, floor + 1):
             pruned += 1
         else:
             pushes += 1
@@ -131,14 +135,42 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     return {"stack": stack, "next_card": c, "best": best, "witness": witness, "nodes": nodes, "pruned": pruned}
 
 
-def reference_outcome(dim, n, **kw):
+def reference_outcome(dim, n, *, floor=-1, **kw):
     """The reference walk's result as `outcome` gives the engine's: a
-    min-walk's witness is the complement of its walked board."""
-    st = reference_walk(dim, n, **kw)
-    witness = st["witness"]
-    if len(witness) != n:
+    min-walk's witness is the complement of its walked board, and a best
+    that no walked board raises above a floor of 0 or more is the floor,
+    witnessed by the greedy prefix."""
+    st = reference_walk(dim, n, floor=floor, **kw)
+    best, witness = st["best"], st["witness"]
+    if floor >= 0 and best <= floor:
+        best, witness = floor, greedy_witness(dim, n, symmetry=kw.get("symmetry", True))
+    elif len(witness) != n:
         witness = [x for x in range(3 ** dim) if x not in witness]
-    return (st["best"], witness, st["nodes"], st["pruned"])
+    return (best, witness, st["nodes"], st["pruned"])
+
+
+def greedy_witness(dim, n, *, symmetry=True):
+    """The greedy trace's n-card prefix as a sorted card list.  With
+    symmetry, from d = 3 on, the last digit of every card is swapped with
+    its third-last, which sends the trace's second card, 9, to card 1."""
+    cards = cmm_run(dim, n).final_board.cards
+    if symmetry and dim >= 3:
+        digits = [list(decode_card(c, dim)) for c in cards]
+        for v in digits:
+            v[-1], v[-3] = v[-3], v[-1]
+        cards = map(encode_card, digits)
+    return sorted(cards)
+
+
+def plan_floor(dim, n, **kw):
+    """The floor of the plan the engine walks for this row."""
+    return search._plan(SearchConfig(dim, n, **kw)).floor
+
+
+def set_floor(monkeypatch, floor):
+    """Give every plan the engine makes the floor `floor`."""
+    real = search._plan
+    monkeypatch.setattr(search, "_plan", lambda config: replace(real(config), floor=floor))
 
 
 class TestBoundRemaining:
@@ -266,7 +298,10 @@ class TestPruned:
             assert count_sets(r.witness) == r.max_sets
             assert count_sets_bruteforce(r.witness) == r.max_sets
 
-    def test_without_symmetry_matches_naive_witness(self):
+    def test_without_symmetry_matches_naive_witness(self, monkeypatch):
+        # With no floor the pruned walk finds the naive engine's first
+        # maximizer; the greedy board would stand in for it.
+        set_floor(monkeypatch, -1)
         for n in (4, 6):
             exact = naive(3, n)
             free = pruned(3, n, symmetry=False)
@@ -303,7 +338,7 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("dim,n", REFERENCE_ROWS)
     def test_pruned_row_matches_reference(self, dim, n):
-        assert outcome(pruned(dim, n)) == reference_outcome(dim, n)
+        assert outcome(pruned(dim, n)) == reference_outcome(dim, n, floor=plan_floor(dim, n))
 
     @pytest.mark.parametrize("dim,n", COMPLEMENT_ROWS)
     def test_complement_row_matches_max_walk(self, dim, n):
@@ -313,7 +348,8 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_pruned_without_symmetry_matches_reference(self, n):
-        assert outcome(pruned(3, n, symmetry=False)) == reference_outcome(3, n, symmetry=False)
+        floor = plan_floor(3, n, symmetry=False)
+        assert outcome(pruned(3, n, symmetry=False)) == reference_outcome(3, n, symmetry=False, floor=floor)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_naive_matches_reference(self, n):
@@ -325,10 +361,10 @@ class TestReferenceWalk:
         # it adds fewer cards to a gain array than the one-by-one walk
         # pushes, and counts exactly as that walk does.  It makes every
         # push whose child level does something, and few of the idle ones:
-        # without the tie test it made 57 % of them on (4, 7) and 35 % on
-        # (3, 11).
+        # without the tie test (and the floor) it made 57 % of them on
+        # (4, 7) and 35 % on (3, 11).
         stats = {}
-        ref = reference_outcome(dim, n, stats=stats)
+        ref = reference_outcome(dim, n, stats=stats, floor=plan_floor(dim, n))
         real_add = search.add_to_gain
         adds = count()
 
@@ -384,6 +420,49 @@ class TestReferenceWalk:
         assert elapsed < 2.0
 
 
+# Rows small enough to walk with and without the floor.
+FLOOR_ROWS = [(2, n) for n in range(3, 10)] + [(3, n) for n in range(3, 14)] + [(4, n) for n in range(3, 10)]
+
+
+class TestFloor:
+    """A max-walk over n <= 3**d / 2 cards prunes against the greedy prefix's
+    set count plus one."""
+
+    @pytest.mark.parametrize("dim,n", FLOOR_ROWS)
+    def test_floor_on_and_off(self, dim, n, monkeypatch):
+        # The floor keeps the maximum, each witness recounts, and without
+        # it the engine counts as the one-by-one walk without one.
+        on = pruned(dim, n)
+        set_floor(monkeypatch, -1)
+        off = pruned(dim, n)
+        assert on.max_sets == off.max_sets
+        for r in (on, off):
+            assert r.complete and len(r.witness) == n
+            assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
+        assert outcome(off) == reference_outcome(dim, n)
+
+    def test_which_plans_have_a_floor(self):
+        deck = 27
+        for n in range(3, deck + 1):
+            floor = plan_floor(3, n)
+            if 2 * n <= deck:
+                assert floor == cmm_run(3, n).cumulative_at(n) == plan_floor(3, n, symmetry=False)
+            else:
+                assert floor == -1
+        assert search._plan(SearchConfig(3, 10, mode="naive")).floor == -1
+
+    @pytest.mark.parametrize("dim,n", [(3, n) for n in range(4, 13)] + [(4, n) for n in range(4, 10)])
+    def test_floor_below_the_maximum_keeps_the_walks_witness(self, dim, n, monkeypatch):
+        # A floor of M - 1 prunes only below M, so the walk finds the
+        # maximizers and reports the first, as the walk without a floor.
+        with monkeypatch.context() as m:
+            set_floor(m, -1)
+            free = pruned(dim, n)
+        set_floor(monkeypatch, free.max_sets - 1)
+        low = pruned(dim, n)
+        assert (low.max_sets, low.witness) == (free.max_sets, free.witness)
+
+
 def _fewest_sets(dim, k):
     """m_d(k) by brute force: the fewest sets on any k-card board."""
     return min(count_sets(Board(dim, cards)) for cards in combinations(range(3 ** dim), k))
@@ -400,7 +479,7 @@ def test_complement_identity(dim, k):
     assert top == len(lines) - k * r + comb(k, 2) - _fewest_sets(dim, k)
 
 
-def _frontier_kind(dim, n, st):
+def _frontier_kind(dim, n, st, floor=-1):
     """Where a frontier lies: inside a leaf level, inside a run of pruned
     candidates that lasts to the end of its level, or elsewhere."""
     stack, c = st["stack"], st["next_card"]
@@ -414,28 +493,31 @@ def _frontier_kind(dim, n, st):
     board = Board(dim, [0, 1] + stack)
     cnt = count_sets(board)
     slack = bound_remaining(len(board) + 1, n)
-    if all(cnt + delta_sets(board, x) + slack < st["best"] for x in range(c - 1, limit)):
+    if all(cnt + delta_sets(board, x) + slack < max(st["best"], floor + 1) for x in range(c - 1, limit)):
         return "prune run"
     return "other"
 
 
 class TestResumeInsideBlocks:
-    @pytest.mark.parametrize("stop,kind", [(100_000, "leaf"), (500_001, "prune run")])
+    """Frontiers inside the blocks the engine scores at once, on d=3 n=12,
+    a row that spans several units and slices under its floor."""
+
+    @pytest.mark.parametrize("stop,kind", [(1_000_000, "leaf"), (603_001, "prune run")])
     def test_resume_from_reference_frontier(self, tmp_path, stop, kind):
         # A frontier the one-by-one walk saves mid-block, as an older
         # checkpoint would hold it, resumes to the uninterrupted result.
         # It goes under its unit, after the units before it walked whole.
-        st = reference_walk(4, 7, stop_at=stop)
-        assert _frontier_kind(4, 7, st) == kind
-        plan = search._plan(SearchConfig(4, 7))
+        plan = search._plan(SearchConfig(3, 12))
+        st = reference_walk(3, 12, stop_at=stop, floor=plan.floor)
+        assert _frontier_kind(3, 12, st, plan.floor) == kind
         unit = st["stack"][0]
-        if st["witness"][2] != unit:
+        if st["witness"] is None or st["witness"][2] != unit:
             # A unit's best is its own; one an earlier unit reached comes
             # back as the seed.
             st.update(best=-1, witness=None)
         units = {}
         for u in range(plan.lo, unit):
-            seed = max([-1] + [f["best"] for f in units.values()])
+            seed = max([plan.floor + 1] + [f["best"] for f in units.values()])
             units[str(u)] = search._fresh_state(u)
             search._dfs_segment(plan, units[str(u)], u, seed_best=seed)
             assert search._exhausted(u, units[str(u)])
@@ -443,15 +525,15 @@ class TestResumeInsideBlocks:
             st[key] -= sum(f[key] for f in units.values())
         units[str(unit)] = st
         path = tmp_path / "mid.ckpt"
-        checkpoint_save(Checkpoint(SearchConfig(4, 7), units), path)
-        assert outcome(resume_search(path)) == outcome(pruned(4, 7))
+        checkpoint_save(Checkpoint(SearchConfig(3, 12), units), path)
+        assert outcome(resume_search(path)) == outcome(pruned(3, 12))
 
     def test_stop_and_resume_chain(self, tmp_path):
-        ref = pruned(4, 7)
-        deck = 81
+        ref = pruned(3, 12)
+        deck = 27
         for stop in (100_000, 500_001, 1_234_567):
             path = tmp_path / f"stop{stop}.ckpt"
-            r = pruned(4, 7, checkpoint_path=str(path), stop_after_nodes=stop)
+            r = pruned(3, 12, checkpoint_path=str(path), stop_after_nodes=stop)
             assert not r.complete
             # One step scores at most one level's candidates past the check.
             assert stop <= r.nodes_visited < stop + 4096 + deck
@@ -463,10 +545,16 @@ class TestResumeInsideBlocks:
 class TestParallel:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_same_result_as_sequential(self, threads):
-        seq = pruned(3, 10)
-        par = pruned(3, 10, threads=threads)
-        assert par.max_sets == seq.max_sets
-        assert par.witness == seq.witness
+        # No board of these rows beats the floor, so every slice prunes
+        # against the floor + 1 whatever the schedule: the counters match
+        # as well as the maximum and the witness.
+        for n in (10, 11):
+            seq = pruned(3, n)
+            assert seq.max_sets == plan_floor(3, n)
+            par = pruned(3, n, threads=threads)
+            assert par.max_sets == seq.max_sets
+            assert par.witness == seq.witness
+            assert outcome(par) == outcome(seq)
 
     def test_symmetry_off_witness_deterministic(self):
         seq = pruned(3, 8, symmetry=False)
@@ -508,9 +596,9 @@ class TestParallel:
     def test_ctrl_c_in_pool_wait(self, tmp_path, monkeypatch):
         # The first wait is interrupted: the run starts no further unit,
         # keeps the frontiers its two running units return, and saves.
-        # Nothing is pruned at d=3 n=5, so no counter depends on the best a
-        # unit is seeded with, and the resumed run counts as one that was
-        # never interrupted.
+        # No board of d=3 n=12 beats its floor, so every slice prunes
+        # against the floor + 1, no counter depends on the schedule, and
+        # the resumed run counts as one that was never interrupted.
         # The pool machinery is imported when a run starts a pool, so the
         # patches go on the concurrent.futures names the runner looks up.
         real_wait = futures.wait
@@ -524,14 +612,14 @@ class TestParallel:
         monkeypatch.setattr(futures, "wait", wait)
         path = tmp_path / "pool.ckpt"
         try:
-            r = pruned(3, 5, threads=2, checkpoint_path=str(path))
+            r = pruned(3, 12, threads=2, checkpoint_path=str(path))
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped the run")
         assert not r.complete
         assert sorted(checkpoint_load(path).units) == ["2", "3"]
         monkeypatch.undo()
-        ref = pruned(3, 5)
-        assert ref.configs_pruned == 0
+        ref = pruned(3, 12)
+        assert ref.max_sets == plan_floor(3, 12)
         assert outcome(resume_search(path, threads=2)) == outcome(ref)
 
     def test_pool_file_resumes_in_process(self, tmp_path, monkeypatch):
@@ -710,14 +798,15 @@ class TestNaiveCheckpoint:
 
 class TestCheckpoint:
     def test_kill_and_resume_three_points(self, tmp_path):
-        ref = pruned(3, 10)
-        for stop in (30_000, 75_000, 140_000):
+        # Stops in units 2, 3 and 5 of a row that spans several slices.
+        ref = pruned(3, 12)
+        for stop in (300_000, 750_000, 1_400_000):
             path = tmp_path / f"stop{stop}.ckpt"
-            r = pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=stop)
+            r = pruned(3, 12, checkpoint_path=str(path), stop_after_nodes=stop)
             assert not r.complete
             while not r.complete:
                 r = resume_search(path)
-            assert r.max_sets == 12
+            assert r.max_sets == 14
             assert (r.max_sets, r.nodes_visited, r.configs_pruned, r.witness) == (
                 ref.max_sets,
                 ref.nodes_visited,
@@ -743,14 +832,16 @@ class TestCheckpoint:
 
     def test_parallel_units_resume(self, tmp_path):
         # Pool units stop inside their walks and are seeded with the best
-        # known when they start, so only the answer, not the counters,
-        # matches an uninterrupted two-worker run.
+        # known when they start.  No board of d=3 n=10 beats the floor, so
+        # each slice prunes against the floor + 1, and the counters match
+        # an uninterrupted two-worker run as well as the answer.
         ref = pruned(3, 10, threads=2)
         path = tmp_path / "units.ckpt"
         r = pruned(3, 10, threads=2, checkpoint_path=str(path), stop_after_nodes=10_000)
         while not r.complete:
             r = resume_search(path, threads=2)
         assert (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
+        assert outcome(r) == outcome(ref)
 
     def test_resume_of_another_search_refused(self, tmp_path):
         # The file is refused before the walk, and left as it was.
@@ -834,7 +925,9 @@ class TestCheckpoint:
         # and not once per unit or once per slice.
         monkeypatch.setattr(search, "_SLICE", search._PROGRESS_EVERY)
         saves = _tick_and_record_saves(monkeypatch)
-        interval = 100
+        # Under its floor the row reads the clock about 110 times, its
+        # largest unit 21 of them.
+        interval = 25
         path = tmp_path / "run.ckpt"
         assert pruned(4, 7, checkpoint_path=str(path), report_interval=interval).complete
         units = checkpoint_load(path).units
@@ -1021,11 +1114,14 @@ BAD_FILES = {
         "file has 4, this build reads 5",
     ),
     "plan missing": (lambda p: p.pop("plan"), "records no walk plan"),
-    # A version 2 build walked the n cards of the complement row n=18.
+    # A version 2 build walked the n cards of the complement row n=18; the
+    # min-walk has no floor.
     "plan walks the n cards of a complement row": (
         lambda p: (p["config"].update(n=18), p["plan"].update(size=18)),
-        "plan; fields that differ: offset, size, slack, step",
+        "plan; fields that differ: floor, offset, size, slack, step",
     ),
+    # A build before the floor recorded none.
+    "plan without a floor": (lambda p: p["plan"].pop("floor"), "plan; fields that differ: floor"),
     "plan base edited": (lambda p: p["plan"].update(base=[0, 2]), "plan; fields that differ: base"),
     "plan slack edited": (lambda p: p["plan"]["slack"].__setitem__(3, 0), "plan; fields that differ: slack"),
 }
