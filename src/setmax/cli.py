@@ -42,6 +42,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def decimal(text: str) -> float:
+    """A decimal number: ASCII digits with at most one ".".  float() alone
+    would also read "1_0", " 2 ", "1e3", "inf" and other scripts' digits."""
+    if not (text.isascii() and text.replace(".", "", 1).isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def _threads(args) -> int:
     """The worker count: --threads, else $SET_SEARCH_THREADS, else 1."""
     if args.threads is not None:
@@ -88,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint file to write/resume")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
     p.add_argument("--stop-after-nodes", type=integer, help="stop (checkpointing) after visiting this many nodes")
-    p.add_argument("--report-interval", type=float, help="seconds between periodic checkpoints")
+    p.add_argument("--report-interval", type=decimal, help="seconds between periodic checkpoints")
     p.add_argument("--budget", dest="naive_budget", metavar="BUDGET", type=integer,
                    help="naive-mode triple-check budget")
 

@@ -98,7 +98,7 @@ import os
 import signal
 import sys
 import time
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from math import comb, inf
@@ -308,9 +308,10 @@ def _dfs_segment(
     *,
     seed_best: int = -1,
     stop_after_nodes: int | None = None,
-) -> None:
+) -> dict:
     """Advance the depth-first walk described by `state` until the subtree is
-    exhausted or a stop trigger fires, and return None: _exhausted tells which.
+    exhausted or a stop trigger fires, and return `state`: _exhausted tells
+    which.  The return lets a pool task hand its frontier back.
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
@@ -402,7 +403,7 @@ def _dfs_segment(
     """
     # The check on entry: the state already holds the frontier it saves.
     if stop_after_nodes is not None and state["nodes"] >= stop_after_nodes:
-        return
+        return state
     next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
 
     n, base_len = plan.size, len(plan.base)
@@ -525,6 +526,7 @@ def _dfs_segment(
             ahead -= c
     nodes = ahead + c
     state.update(stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept)
+    return state
 
 
 def checkpoint_save(cp: Checkpoint, path) -> None:
@@ -604,13 +606,6 @@ def _exhausted(u: int, frontier: dict | None) -> bool:
     return frontier is not None and not frontier["stack"] and frontier["next_card"] == u + 1
 
 
-def _unit_worker(plan: _Plan, u: int, state: dict, seed_best: int, stop_after_nodes: int | None) -> dict:
-    """Walk one slice of work unit u on from `state` in a pool worker and
-    return the frontier the walk leaves."""
-    _dfs_segment(plan, state, u, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
-    return state
-
-
 def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: float, complete: bool) -> SearchResult:
     # Deterministic merge: best value over all units, witness from the
     # lexicographically first unit that achieved it.  Strict pruning
@@ -647,12 +642,17 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
 def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
     str(u); a unit not there starts afresh) and merge the units.  A unit
-    walks in slices of _SLICE nodes, in this process at one worker and as
-    pool tasks above that, each seeded with the best so far and at least
-    the plan's floor + 1.  A slice end is the run's one pause point: the
-    run keeps the unit's frontier, saves the unit map, in card order, a
-    report_interval after the last save (and at the end), and starts no
-    slice after an interrupt or once its node budget is spent.
+    walks in slices of _SLICE nodes, and one slice loop serves every
+    worker count.  Each round starts slices, in card order with an
+    unfinished unit first in line, while fewer than `threads` slices of
+    the round are running or have ended: in this process at one worker,
+    as pool tasks above that.  Each slice is seeded with the best so far
+    and at least the plan's floor + 1.  A slice end is the run's one pause
+    point: the run keeps the unit's frontier, saves the unit map, in card
+    order, a report_interval after the last save (and at the end), and
+    starts no slice after an interrupt or once its node budget is spent.
+    A save lists every started unit, a pool task's at the frontier its
+    running slice started from.
     Before any unit starts, a naive search over its budget is refused with
     BudgetExceededError, and with ValueError a checkpoint path that names
     no file in a writable directory (such as "", "a/" or a directory)."""
@@ -675,7 +675,6 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     plan = _plan(config)
     units = _units(plan)
     frontiers = dict(frontiers or {})
-    pending = [u for u in units if not _exhausted(u, frontiers.get(str(u)))]
     stop = config.stop_after_nodes
     # The seed of every slice: the best so far, or the floor + 1 if higher.
     best = max([plan.floor + 1] + [f["best"] for f in frontiers.values()])
@@ -687,81 +686,56 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
         checkpoint_save(Checkpoint(config, {str(u): frontiers[str(u)] for u in units if str(u) in frontiers}), path)
         next_report = time.monotonic() + config.report_interval
 
-    def report():
-        if path is not None and time.monotonic() >= next_report:
-            save()
-
-    def budget(state):
-        """The stop_after_nodes of a slice from `state`: a slice's worth, or
-        the run's budget left, on top of the nodes the state already holds."""
-        return state["nodes"] + (_SLICE if stop is None else min(_SLICE, stop - spent))
-
-    def keep(u, state, before):
-        """Record unit u's frontier and say whether the run has budget left."""
-        nonlocal best, spent
-        frontiers[str(u)] = state
-        best = max(best, state["best"])
-        spent += state["nodes"] - before
-        return stop is None or spent < stop
-
     going = True
-    if config.threads == 1:
-        # budget, keep and report, spelled out: most units end in one slice,
-        # and their set-up is much of a small row's time.
-        try:
-            for u in pending:
-                state = frontiers.setdefault(str(u), _fresh_state(u))
-                while going:
-                    before = state["nodes"]
-                    _dfs_segment(plan, state, u, seed_best=best,
-                                 stop_after_nodes=before + (_SLICE if stop is None else min(_SLICE, stop - spent)))
-                    if state["best"] > best:
-                        best = state["best"]
-                    spent += state["nodes"] - before
-                    going = stop is None or spent < stop
-                    if path is not None and time.monotonic() >= next_report:
-                        save()
-                    if _exhausted(u, state):
-                        break
-                if not going:
-                    break
-        except KeyboardInterrupt:  # the unit keeps the frontier of its last check
-            pass
-    else:
+    waiting = [u for u in reversed(units) if not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
+    running = {}  # pool task -> (unit, its nodes before the slice)
+    pool = None
+    if config.threads > 1:
         # Imported at the first pool: concurrent.futures.process pulls in
         # multiprocessing, which a one-worker run never needs.
         from concurrent import futures
 
-        with futures.ProcessPoolExecutor(
+        pool = futures.ProcessPoolExecutor(
             max_workers=config.threads, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-        ) as pool:
-            waiting = pending[::-1]  # the next unit last
-            running = {}
-
-            def submit_next():
-                if waiting:
-                    u = waiting.pop()
-                    state = frontiers.get(str(u)) or _fresh_state(u)
-                    running[pool.submit(_unit_worker, plan, u, state, best, budget(state))] = (u, state["nodes"])
-
-            for _ in range(config.threads):
-                submit_next()
-            while running:
-                # A Ctrl-C that lands anywhere in this loop starts no further
-                # slice, and the running slices still return their frontiers.
-                try:
-                    ready, _ = futures.wait(list(running), return_when=futures.FIRST_COMPLETED)
-                    for fut in ready:
-                        u, before = running.pop(fut)
-                        state = fut.result()
-                        going = keep(u, state, before) and going
+        )
+    with pool or nullcontext():
+        while True:
+            # A Ctrl-C that lands anywhere in a round starts no further
+            # slice; an in-process slice keeps the frontier of its last
+            # check, and the running pool slices still return theirs.
+            try:
+                while running or going and waiting:
+                    # An in-process slice has ended before the next starts,
+                    # so the round counts ended slices too: at one worker
+                    # each slice is seeded with the best of all before it.
+                    ended = []
+                    while going and waiting and len(running) + len(ended) < config.threads:
+                        u = waiting.pop()
+                        state = frontiers.setdefault(str(u), _fresh_state(u))
+                        before = state["nodes"]
+                        cap = before + (_SLICE if stop is None else min(_SLICE, stop - spent))
+                        if pool is None:
+                            _dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=cap)
+                            ended.append((u, before, state))
+                        else:
+                            task = pool.submit(_dfs_segment, plan, state, u, seed_best=best, stop_after_nodes=cap)
+                            running[task] = u, before
+                    if running:
+                        ready, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
+                        ended += [(*running.pop(task), task.result()) for task in ready]
+                    for u, before, state in ended:
+                        frontiers[str(u)] = state
+                        if state["best"] > best:
+                            best = state["best"]
+                        spent += state["nodes"] - before
+                        going = going and (stop is None or spent < stop)
                         if not _exhausted(u, state):
                             waiting.append(u)  # its next slice goes first
-                        if going:
-                            submit_next()
-                    report()
-                except KeyboardInterrupt:
-                    going = False
+                    if path is not None and time.monotonic() >= next_report:
+                        save()
+                break
+            except KeyboardInterrupt:
+                going = False
 
     complete = all(_exhausted(u, frontiers.get(str(u))) for u in units)
     if path is not None:

@@ -120,6 +120,19 @@ class TestSearch:
                                               "--stop-after-nodes", "-5", "--budget", "100"])
         assert (args.dim, args.n, args.threads, args.stop_after_nodes, args.naive_budget) == (3, 12, 16, -5, 100)
 
+    @pytest.mark.parametrize("value", ["1_0", " 2 ", "\uff13", "\u0663", "1e3", "inf", "nan", "-1", ".", "1.2.3", ""])
+    def test_report_interval_takes_decimal_digits_only(self, capsys, value):
+        # float() reads all but the last three; "1_0" as 10 seconds.
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(["search", "--props", "3", "--cards", "6", "--report-interval", value])
+        assert exit_.value.code == cli.EXIT_PARSE
+        assert f"invalid decimal value: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, seconds", [("5", 5.0), ("0.5", 0.5)])
+    def test_report_interval_reads_decimals(self, value, seconds):
+        args = cli.build_parser().parse_args(["search", "--props", "3", "--cards", "6", "--report-interval", value])
+        assert args.report_interval == seconds
+
     @pytest.mark.parametrize("raw", ["1_0", "+2", " 2", "\uff13", "\u0663", "2.0"])
     def test_threads_env_takes_decimal_digits_only(self, monkeypatch, raw):
         monkeypatch.setenv(cli.THREADS_ENV, raw)

@@ -579,6 +579,17 @@ class TestParallel:
         path = _units_checkpoint(tmp_path, {})
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 10))
 
+    def test_checkpoint_bytes_match_across_worker_counts(self, tmp_path):
+        # No board of d=3 n=10 beats its floor, so no counter depends on the
+        # schedule, and a run saves its units in card order: one worker and
+        # two write the same file.
+        files = []
+        for threads in (1, 2):
+            path = tmp_path / f"{threads}.ckpt"
+            assert pruned(3, 10, threads=threads, checkpoint_path=str(path)).complete
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
     def test_pool_saves_hold_running_units(self, tmp_path, monkeypatch):
         # The pool's saves come at slice ends, so a periodic save holds
         # the frontier a running unit's last slice left, not only units
@@ -950,6 +961,35 @@ class TestCheckpoint:
             assert not r.complete
             seen.add(json.dumps([outcome(r), json.loads(path.read_text())["units"]]))
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (18, 90_000)])
+    def test_one_worker_slice_schedule(self, monkeypatch, n, budget):
+        # One worker walks the units in card order, each unit's slices back
+        # to back.  A slice is seeded with the floor + 1 or the best of every
+        # slice before it, whichever is higher, and stops a slice's worth of
+        # nodes past its start, or where the run's budget runs out if sooner.
+        # No board of d=3 n=12 beats its floor; d=3 n=18 has no floor.
+        monkeypatch.setattr(search, "_SLICE", 4096)
+        real_walk, calls = search._dfs_segment, []
+
+        def walk(plan, state, u, *, seed_best, stop_after_nodes):
+            before = state["nodes"]
+            real_walk(plan, state, u, seed_best=seed_best, stop_after_nodes=stop_after_nodes)
+            calls.append((u, before, seed_best, stop_after_nodes, state["best"], state["nodes"]))
+            return state
+
+        monkeypatch.setattr(search, "_dfs_segment", walk)
+        assert not pruned(3, n, stop_after_nodes=budget).complete
+        units = [u for u, *_ in calls]
+        assert units == sorted(units) and len(set(units)) > 5
+        floor, best, spent, last = plan_floor(3, n), -1, 0, (None, 0)
+        for u, before, seed, stop, unit_best, after in calls:
+            left = budget - spent
+            assert before == (last[1] if u == last[0] else 0)
+            assert seed == max(floor + 1, best)
+            assert stop == before + min(search._SLICE, left)
+            best, spent, last = max(best, unit_best), spent + after - before, (u, after)
+        assert left < search._SLICE
 
     @pytest.mark.parametrize("joined", [False, True])
     def test_interrupt_inside_a_step(self, tmp_path, monkeypatch, joined):
