@@ -79,10 +79,38 @@ order, as deterministic as a direct row's.  For these rows nodes and
 prunes count the min-walk, and a saved frontier and witness hold its
 k-card boards; the result's witness is their complement.
 
+A min-walk row whose k is at most cap(d), the most cards of a cap (a board
+holding no set) in AG(d, 3), aims at its offset and stops there.  Its
+plan's target is the offset; every other plan's is -1.  cap(d) is 9 for
+d = 3, 20 for d = 4 (Pellegrino, Boll. Un. Mat. Ital. 1970) and 2**d
+otherwise, the cap of the cards whose digits all lie in {0, 1}: three such
+digits sum to 0 mod 3 only when all three are equal, so three distinct
+cards of it are never a set.  Every slice is seeded with at least the
+target, and a walk stops right after the leaf step that raises its best to
+the target.  This keeps the maximum and the witness of the unseeded walk:
+
+- A k-cap exists: k of the 2**d cards above, or, for d = 3 and 4, a cap
+  of the cited size; every row the walk settles exhibits one.
+- The affine group is 2-transitive and preserves set counts, so it moves
+  some k-cap onto one holding the base cards 0 and 1.
+- The complement of that cap's walked board scores exactly the offset,
+  and no walked board scores more: the slack is 0 and every gain is at
+  most 0.  So M = offset.
+- Scores never rise along a branch, so pruning below the offset loses no
+  board that reaches it.
+- The walk order is unchanged, so the first walked board reaching the
+  offset is the unseeded walk's witness.
+
+Once a unit reaches the target, the run starts no slice of a later unit;
+earlier units run on until they are exhausted or reach the target.  The
+run is complete when every unit is exhausted, or when some unit has
+reached the target and every unit before it is exhausted, and the merge
+takes the first such unit in card order, whatever the worker count.
+
 _plan is the one place that decides the walk: board size, base, first
 candidate, score offset, gain step, the slack of each level (a
-candidate is pruned iff its score plus that slack is below the best) and
-the floor.
+candidate is pruned iff its score plus that slack is below the best),
+the floor and the target.
 Every checkpoint records the plan, and a file of another plan is refused.
 The naive engine is the plan whose slack is L at every level.  Its offset
 is 0 and its step 1, so every score is at least 0, while no best (nor a
@@ -120,6 +148,9 @@ _PROGRESS_EVERY = 4096
 # A run pauses only between slices of a unit's walk, each ending at the first
 # stop check this many nodes past its start.
 _SLICE = 1 << 18
+
+# The most cards of a cap in AG(d, 3) where it is known and above 2**d.
+_CAPS = {3: 9, 4: 20}
 
 
 class BudgetExceededError(RuntimeError):
@@ -229,6 +260,7 @@ class _Plan:
     step: int
     slack: tuple[int, ...]
     floor: int
+    target: int
 
     def limit(self, size: int) -> int:
         """The end of the candidate range on a board of `size` cards: the
@@ -239,17 +271,19 @@ class _Plan:
 def _plan(config: SearchConfig) -> _Plan:
     """The walk that answers `config`: a pruned row with 3 <= k = 3**d - n < n
     walks the k missing cards, every other row its own n cards.  A pruned
-    row with 2n <= 3**d has the greedy prefix's set count as its floor."""
+    row with 2n <= 3**d has the greedy prefix's set count as its floor,
+    and one with k <= cap(d) its offset as its target."""
     dim, n = config.dim, config.n
     pruned = config.mode == "pruned"
     base = (0, 1) if pruned and config.symmetry else ()
     k = 3 ** dim - n
     if pruned and 3 <= k < n:
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
-        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k, -1)
+        target = offset if k <= _CAPS.get(dim, 2 ** dim) else -1
+        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k, -1, target)
     slack = tuple(bound_remaining(size + 1, n) for size in range(n)) if pruned else (geometry.line_count(dim),) * n
     floor = _greedy(dim, n)[0] if pruned and 2 * n <= 3 ** dim else -1
-    return _Plan(dim, n, base, len(base), 0, 1, slack, floor)
+    return _Plan(dim, n, base, len(base), 0, 1, slack, floor, -1)
 
 
 @lru_cache(maxsize=16)
@@ -310,8 +344,9 @@ def _dfs_segment(
     stop_after_nodes: int | None = None,
 ) -> dict:
     """Advance the depth-first walk described by `state` until the subtree is
-    exhausted or a stop trigger fires, and return `state`: _exhausted tells
-    which.  The return lets a pool task hand its frontier back.
+    exhausted, its best reaches the plan's target, or a stop trigger fires,
+    and return `state`: _exhausted and _hit tell which.  The return lets a
+    pool task hand its frontier back.
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
@@ -335,7 +370,10 @@ def _dfs_segment(
       replaces (best, witness) only on a strict improvement, so its last
       replacement is at the first candidate reaching the level maximum,
       and it happens iff cnt + max > best.  The step scores the whole
-      level with one max and finds that candidate with gain.index.
+      level with one max and finds that candidate with gain.index.  The
+      walk stops after a leaf step that leaves best at the target, with
+      the level's next card at its end.  Every score is at least 0, so a
+      leaf step leaves best at 0 or more and a target of -1 never stops it.
     - At any other level the step visits no leaf, and best_eff changes
       only when a leaf improves best, so best_eff is constant over the
       step, as are best, cnt and the slacks of the level and its child:
@@ -412,7 +450,7 @@ def _dfs_segment(
     witness = state["witness"]
 
     rows = geometry.third_rows(plan.dim)
-    step, slack_at = plan.step, plan.slack
+    step, slack_at, target = plan.step, plan.slack, plan.target
     # No gain entry rises by more than this in one push.
     rise = max(step, 0)
 
@@ -465,6 +503,8 @@ def _dfs_segment(
                         best_eff = best
                 kept += limit - c
                 c = limit
+                if best == target:
+                    break
         elif c < limit:
             # Candidate x is pruned iff cnt + gain[x] + slack < best_eff.
             floor = best_eff - slack_at[size] - cnt
@@ -606,6 +646,11 @@ def _exhausted(u: int, frontier: dict | None) -> bool:
     return frontier is not None and not frontier["stack"] and frontier["next_card"] == u + 1
 
 
+def _hit(plan: _Plan, frontier: dict | None) -> bool:
+    """Whether `frontier`'s walk has reached the plan's target."""
+    return frontier is not None and frontier["best"] == plan.target >= 0
+
+
 def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: float, complete: bool) -> SearchResult:
     # Deterministic merge: best value over all units, witness from the
     # lexicographically first unit that achieved it.  Strict pruning
@@ -646,11 +691,12 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     worker count.  Each round starts slices, in card order with an
     unfinished unit first in line, while fewer than `threads` slices of
     the round are running or have ended: in this process at one worker,
-    as pool tasks above that.  Each slice is seeded with the best so far
-    and at least the plan's floor + 1.  A slice end is the run's one pause
-    point: the run keeps the unit's frontier, saves the unit map, in card
-    order, a report_interval after the last save (and at the end), and
-    starts no slice after an interrupt or once its node budget is spent.
+    as pool tasks above that.  Each slice is seeded with the best so far,
+    and at least the plan's floor + 1 and its target.  A slice end is the
+    run's one pause point: the run keeps the unit's frontier, saves the
+    unit map, in card order, a report_interval after the last save (and at
+    the end), and starts no slice after an interrupt or once its node
+    budget is spent, nor of a unit past the first to reach the target.
     A save lists every started unit, a pool task's at the frontier its
     running slice started from.
     Before any unit starts, a naive search over its budget is refused with
@@ -676,8 +722,9 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     units = _units(plan)
     frontiers = dict(frontiers or {})
     stop = config.stop_after_nodes
-    # The seed of every slice: the best so far, or the floor + 1 if higher.
-    best = max([plan.floor + 1] + [f["best"] for f in frontiers.values()])
+    # The seed of every slice: the best so far, or the floor + 1 or the
+    # target if higher.
+    best = max([plan.floor + 1, plan.target] + [f["best"] for f in frontiers.values()])
     spent = sum(f["nodes"] for f in frontiers.values())
     next_report = t0 + config.report_interval
 
@@ -687,7 +734,9 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
         next_report = time.monotonic() + config.report_interval
 
     going = True
-    waiting = [u for u in reversed(units) if not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
+    # The first unit to reach the target; no unit past it starts a slice.
+    hit = min((u for u in units if _hit(plan, frontiers.get(str(u)))), default=inf)
+    waiting = [u for u in reversed(units) if u < hit and not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
     running = {}  # pool task -> (unit, its nodes before the slice)
     pool = None
     if config.threads > 1:
@@ -729,7 +778,10 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                             best = state["best"]
                         spent += state["nodes"] - before
                         going = going and (stop is None or spent < stop)
-                        if not _exhausted(u, state):
+                        if _hit(plan, state) and u < hit:
+                            hit = u
+                            waiting = [w for w in waiting if w < hit]
+                        elif u < hit and not _exhausted(u, state):
                             waiting.append(u)  # its next slice goes first
                     if path is not None and time.monotonic() >= next_report:
                         save()
@@ -737,7 +789,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
             except KeyboardInterrupt:
                 going = False
 
-    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units)
+    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units if u < hit)
     if path is not None:
         save()
     return _merge_units(config, plan, frontiers, time.monotonic() - t0, complete)

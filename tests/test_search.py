@@ -46,15 +46,17 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None, floor=-1):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None, floor=-1,
+                   target=-1):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
     candidates of each level one by one.  A candidate is pruned iff its
-    score plus the bound is below the best so far or below floor + 1.
-    Runs to the end, or until `stop_at` nodes are counted, and returns the
-    state the engine saves: the frontier (stack, next_card) and best,
-    witness, nodes, pruned.
+    score plus the bound is below the best so far, below floor + 1 or
+    below the target.  Runs to the end, to the end of the leaf level where
+    best reaches a target of 0 or more (one card on, at the top level), or
+    until `stop_at` nodes are counted, and returns the state the engine
+    saves: the frontier (stack, next_card) and best, witness, nodes, pruned.
     An `at` dict, keyed by node counts, receives under each key it
     passes the state the walk would return with that stop_at.
     A `stats` dict receives the number of pushes under "pushes", and
@@ -102,6 +104,10 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
             at[nodes] = {"stack": list(stack), "next_card": c, "best": best, "witness": witness,
                          "nodes": nodes, "pruned": pruned}
         limit = deck - (need - len(stack) - 1)
+        # A walk that reaches its target stops at the end of that leaf
+        # level; the engine's work units end the top level after each card.
+        if best == target >= 0 and (c >= limit or not stack):
+            break
         if c >= limit:
             if not stack:
                 break
@@ -118,7 +124,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
             if ncnt > best:
                 best, witness = ncnt, chosen + [c]
                 busy[-1] = True
-        elif prune and ncnt + bound[len(chosen) + 1] < max(best, floor + 1):
+        elif prune and ncnt + bound[len(chosen) + 1] < max(best, floor + 1, target):
             pruned += 1
         else:
             pushes += 1
@@ -167,10 +173,17 @@ def plan_floor(dim, n, **kw):
     return search._plan(SearchConfig(dim, n, **kw)).floor
 
 
-def set_floor(monkeypatch, floor):
-    """Give every plan the engine makes the floor `floor`."""
+def plan_bounds(dim, n, **kw):
+    """The floor and the target of the plan the engine walks for this row,
+    as reference_walk takes them."""
+    plan = search._plan(SearchConfig(dim, n, **kw))
+    return {"floor": plan.floor, "target": plan.target}
+
+
+def set_plan(monkeypatch, **fields):
+    """Give every plan the engine makes these field values."""
     real = search._plan
-    monkeypatch.setattr(search, "_plan", lambda config: replace(real(config), floor=floor))
+    monkeypatch.setattr(search, "_plan", lambda config: replace(real(config), **fields))
 
 
 class TestBoundRemaining:
@@ -301,7 +314,7 @@ class TestPruned:
     def test_without_symmetry_matches_naive_witness(self, monkeypatch):
         # With no floor the pruned walk finds the naive engine's first
         # maximizer; the greedy board would stand in for it.
-        set_floor(monkeypatch, -1)
+        set_plan(monkeypatch, floor=-1)
         for n in (4, 6):
             exact = naive(3, n)
             free = pruned(3, n, symmetry=False)
@@ -338,7 +351,7 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("dim,n", REFERENCE_ROWS)
     def test_pruned_row_matches_reference(self, dim, n):
-        assert outcome(pruned(dim, n)) == reference_outcome(dim, n, floor=plan_floor(dim, n))
+        assert outcome(pruned(dim, n)) == reference_outcome(dim, n, **plan_bounds(dim, n))
 
     @pytest.mark.parametrize("dim,n", COMPLEMENT_ROWS)
     def test_complement_row_matches_max_walk(self, dim, n):
@@ -433,13 +446,13 @@ class TestFloor:
         # The floor keeps the maximum, each witness recounts, and without
         # it the engine counts as the one-by-one walk without one.
         on = pruned(dim, n)
-        set_floor(monkeypatch, -1)
+        set_plan(monkeypatch, floor=-1)
         off = pruned(dim, n)
         assert on.max_sets == off.max_sets
         for r in (on, off):
             assert r.complete and len(r.witness) == n
             assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        assert outcome(off) == reference_outcome(dim, n)
+        assert outcome(off) == reference_outcome(dim, n, target=plan_bounds(dim, n)["target"])
 
     def test_which_plans_have_a_floor(self):
         deck = 27
@@ -456,9 +469,9 @@ class TestFloor:
         # A floor of M - 1 prunes only below M, so the walk finds the
         # maximizers and reports the first, as the walk without a floor.
         with monkeypatch.context() as m:
-            set_floor(m, -1)
+            set_plan(m, floor=-1)
             free = pruned(dim, n)
-        set_floor(monkeypatch, free.max_sets - 1)
+        set_plan(monkeypatch, floor=free.max_sets - 1)
         low = pruned(dim, n)
         assert (low.max_sets, low.witness) == (free.max_sets, free.witness)
 
@@ -666,7 +679,8 @@ class TestParallel:
 
 class TestComplementRows:
     """Rows past half the deck through the pool and checkpoints.  d=3
-    n=17 and 18 walk boards of 10 and 9 missing cards."""
+    n=17 and 18 walk boards of 10 and 9 missing cards; n=17 has no target,
+    as 10 cards are more than a cap of AG(3, 3) holds, so it walks in full."""
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_pool_matches_sequential(self, n):
@@ -681,38 +695,38 @@ class TestComplementRows:
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
 
     def test_stop_and_resume_chain(self, tmp_path):
-        ref = pruned(3, 18)
+        ref = pruned(3, 17)
         path = tmp_path / "chain.ckpt"
-        r = pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000)
+        r = pruned(3, 17, checkpoint_path=str(path), stop_after_nodes=20_000)
         assert not r.complete
         while not r.complete:
-            r = resume_search(path, stop_after_nodes=r.nodes_visited + 20_000)
+            r = resume_search(path, stop_after_nodes=r.nodes_visited + 100_000)
         assert outcome(r) == outcome(ref)
 
     def test_witness_of_the_row_size_rejected(self, tmp_path, capsys):
-        # A saved witness is a walked board of 9 cards, not its complement.
+        # A saved witness is a walked board of 10 cards, not its complement.
         path = tmp_path / "stack.ckpt"
-        assert not pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000).complete
+        assert not pruned(3, 17, checkpoint_path=str(path), stop_after_nodes=20_000).complete
         payload = json.loads(path.read_text())
         unit = next(f for f in payload["units"].values() if f["witness"])
         walked = unit["witness"]
-        assert len(walked) == 9
+        assert len(walked) == 10
         unit["witness"] = [x for x in range(27) if x not in walked]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="is not 9 distinct cards"):
+        with pytest.raises(CheckpointError, match="is not 10 distinct cards"):
             resume_search(path)
-        code = cli.main(["search", "--props", "3", "--cards", "18", "--checkpoint", str(path), "--resume"])
+        code = cli.main(["search", "--props", "3", "--cards", "17", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
-        assert "is not 9 distinct cards" in capsys.readouterr().err
+        assert "is not 10 distinct cards" in capsys.readouterr().err
 
     def test_best_is_the_score_of_the_walked_witness(self, tmp_path):
-        # A min-walk unit's best is L - k r + C(k, 2) = 117 - 9 * 13 + 36
-        # minus the sets on its walked 9-card witness; one more is refused.
+        # A min-walk unit's best is L - k r + C(k, 2) = 117 - 10 * 13 + 45
+        # minus the sets on its walked 10-card witness; one more is refused.
         path = tmp_path / "stack.ckpt"
-        assert not pruned(3, 18, checkpoint_path=str(path), stop_after_nodes=20_000).complete
+        assert not pruned(3, 17, checkpoint_path=str(path), stop_after_nodes=20_000).complete
         payload = json.loads(path.read_text())
         unit = next(f for f in payload["units"].values() if f["witness"])
-        assert unit["best"] == 36 - count_sets(Board(3, unit["witness"]))
+        assert unit["best"] == 32 - count_sets(Board(3, unit["witness"]))
         unit["best"] += 1
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="but its witness scores"):
@@ -729,6 +743,83 @@ class TestComplementRows:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="plan; fields that differ: size$"):
             resume_search(path)
+
+
+# Every row of d=2 and d=3 the engine answers by a min-walk.
+MIN_WALK_ROWS = [(2, 5), (2, 6)] + [(3, n) for n in range(14, 25)]
+
+
+class TestTarget:
+    """A min-walk row whose k missing cards fit in a cap seeds every slice
+    with its offset and stops at the first walked board that reaches it."""
+
+    @pytest.mark.parametrize("dim,n", MIN_WALK_ROWS)
+    def test_target_on_and_off(self, dim, n, monkeypatch):
+        # The target keeps the maximum and the witness, each witness
+        # recounts, and without it the engine counts as the one-by-one walk
+        # without one.
+        on = pruned(dim, n)
+        set_plan(monkeypatch, target=-1)
+        off = pruned(dim, n)
+        assert (on.max_sets, on.witness) == (off.max_sets, off.witness)
+        for r in (on, off):
+            assert r.complete and len(r.witness) == n
+            assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
+        assert outcome(off) == reference_outcome(dim, n)
+
+    @pytest.mark.parametrize("n", range(18, 25))
+    def test_target_on_and_off_without_symmetry(self, n, monkeypatch):
+        on = pruned(3, n, symmetry=False)
+        set_plan(monkeypatch, target=-1)
+        off = pruned(3, n, symmetry=False)
+        assert on.complete and (on.max_sets, on.witness) == (off.max_sets, off.witness)
+
+    @pytest.mark.parametrize("dim,cap", [(2, 4), (3, 9), (4, 20), (5, 32), (6, 64)])
+    def test_which_plans_have_a_target(self, dim, cap):
+        # A pruned min-walk row with k <= cap(d) aims at its offset, with
+        # symmetry on or off; every other plan has target -1.
+        deck = 3 ** dim
+        for n in range(deck // 2 + 1, deck + 1):
+            k = deck - n
+            for symmetry in (True, False):
+                plan = search._plan(SearchConfig(dim, n, symmetry=symmetry))
+                assert plan.target == (plan.offset if 3 <= k <= cap else -1), (n, symmetry)
+        assert search._plan(SearchConfig(dim, deck - 3, mode="naive")).target == -1
+        assert search._plan(SearchConfig(dim, 3)).target == -1
+
+    @pytest.mark.parametrize("n", range(61, 82))
+    def test_d4_top_row(self, n):
+        # M_4(81 - k) = L - k r + C(k, 2) - m_4(k) with L = 1080 and r = 40,
+        # and a cap of k <= 20 cards holds no set, so m_4(k) = 0.
+        k = 81 - n
+        r = pruned(4, n)
+        assert r.complete
+        assert r.max_sets == 1080 - 40 * k + comb(k, 2)
+        assert len(r.witness) == n and count_sets(r.witness) == r.max_sets
+        assert count_sets(Board(4, [x for x in range(81) if x not in r.witness.cards])) == 0
+
+    def test_pool_gives_the_one_worker_witness(self):
+        seq = pruned(4, 62)
+        par = pruned(4, 62, threads=2)
+        assert par.complete and (par.max_sets, par.witness) == (seq.max_sets, seq.witness)
+
+    def test_resume_of_a_file_at_the_target_returns_at_once(self, tmp_path, monkeypatch):
+        # One worker saves the units up to the first to reach the target and
+        # no later one; resuming the file walks nothing.
+        path = tmp_path / "cap.ckpt"
+        ref = pruned(4, 70, checkpoint_path=str(path))
+        target = search._plan(SearchConfig(4, 70)).target
+        units = checkpoint_load(path).units
+        assert ref.complete and ref.max_sets == target
+        assert [u for u, f in units.items() if f["best"] == target] == [max(units, key=int)]
+
+        def no_walk(*args, **kw):
+            raise AssertionError("a unit started")
+
+        monkeypatch.setattr(search, "_dfs_segment", no_walk)
+        for threads in (1, 2):
+            again = resume_search(path, threads=threads)
+            assert again.complete and outcome(again) == outcome(ref)
 
 
 class TestNaiveCheckpoint:
@@ -962,13 +1053,14 @@ class TestCheckpoint:
             seen.add(json.dumps([outcome(r), json.loads(path.read_text())["units"]]))
         assert len(seen) == 1
 
-    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (18, 90_000)])
+    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (17, 520_000)])
     def test_one_worker_slice_schedule(self, monkeypatch, n, budget):
         # One worker walks the units in card order, each unit's slices back
         # to back.  A slice is seeded with the floor + 1 or the best of every
         # slice before it, whichever is higher, and stops a slice's worth of
         # nodes past its start, or where the run's budget runs out if sooner.
-        # No board of d=3 n=12 beats its floor; d=3 n=18 has no floor.
+        # No board of d=3 n=12 beats its floor; d=3 n=17 has no floor, and
+        # no target, and its budget ends inside its sixth unit.
         monkeypatch.setattr(search, "_SLICE", 4096)
         real_walk, calls = search._dfs_segment, []
 
