@@ -26,22 +26,25 @@ witness independent of worker scheduling; the node and prune counters of a
 parallel run are not when a walked board beats the floor below, because
 each unit then prunes against the best value known when it starts.
 
-A max-walk over its own n cards with 2n <= 3**d starts above the greedy
-board.  Its plan's floor is g, the set count of the n-card prefix of the
-greedy trace (heuristics.cmm_run), and every slice prunes against at
-least g + 1.  The prefix is a real board, so the maximum M >= g.  A board
-scoring g + 1 or more has every prefix bound at least g + 1, so strict
-pruning at g + 1 visits it.  So if M > g the walk visits every maximizer,
-and its maximum and witness are those of the walk without a floor, at any
-worker count.  Otherwise no walked board scores above g, M = g, and the
-witness is the greedy prefix (with symmetry on, moved by an affine map
-onto a board holding cards 0 and 1).  Then every slice prunes against
-g + 1 whatever the schedule, so a pool counts nodes and prunes exactly as
-one worker does.  Every other plan has floor -1 and prunes as before: the
-naive plan prunes nothing, a min-walk scores complements and is left
-without one, and a near-full row would pay more for its prefix than for
-its walk (d=7 n=2184 on a 2-vCPU machine: about 0.5 s for the prefix,
-0.02 s for the row).
+Every pruned plan starts from one lower bound: the target of a min-walk
+whose missing cards fit in a cap (below), or else the floor.  The floor
+is g, the set count of the n-card prefix of the greedy trace
+(heuristics.cmm_run), and every slice prunes against at least g + 1.
+The prefix is a real board, so the maximum M >= g.  A board scoring g + 1
+or more has every prefix bound at least g + 1 (a max-walk's bound is the
+prefix score plus its slack; a min-walk's, below, is the prefix score
+itself, never below the board's as scores never rise along a branch),
+so strict pruning at g + 1 visits it.  So if
+M > g the walk visits every maximizer, and its maximum and witness are
+those of the walk without a floor, at any worker count.  Otherwise no
+walked board scores above g, M = g, and the witness is the greedy prefix
+itself, an n-card board even for a min-walk (with symmetry on, moved by
+an affine map onto a board holding cards 0 and 1).  Then every slice
+prunes against g + 1 whatever the schedule, so a pool counts nodes and
+prunes exactly as one worker does.  The naive plan has neither bound and
+prunes nothing.  The prefix costs one greedy turn per card, each a scan
+of the deck: on the largest row that pays it, d=8 n=6304 (k = 257, one
+card above the cap below), about 3.4 s on a 2-vCPU machine.
 
 Every run splits the walk at its top level.  Work unit u, card u and its
 subtree, is the walk from {stack: [], next_card: u} inside the level ends
@@ -64,10 +67,11 @@ t_2 + 3 t_3 = C(k, 2), so the sets on the N - k cards outside B number
     t_0 = L - k r + C(k, 2) - t_3,
 
 and M_d(N - k) = L - k r + C(k, 2) - m_d(k), where m_d(k) is the fewest
-sets on any k-card board.  A pruned row with 3 <= k = N - n < n therefore
+sets on any k-card board.  A pruned row with k = N - n < n therefore
 walks boards of k cards, the same lexicographic walk over the same base
-(cards 0 and 1 with symmetry on: the affine argument holds for any board
-of two or more cards).  Its score starts at L - k r + C(k, 2) and its gain
+cut to k cards: with symmetry on, the first min(k, 2) of cards 0 and 1
+(the affine group is 2-transitive, so it moves any board of k cards onto
+one holding them).  Its score starts at L - k r + C(k, 2) and its gain
 array steps by -1 per completed pair, so cnt + gain[c] is exactly the set
 count of the complement of the board extended by c, and the walk maximizes
 it.  A card joining a board only adds sets, so a score never rises along a
@@ -79,9 +83,18 @@ order, as deterministic as a direct row's.  For these rows nodes and
 prunes count the min-walk, and a saved frontier and witness hold its
 k-card boards; the result's witness is their complement.
 
+A near-full row, k <= 2, has m_d(k) = 0, as no board of fewer than three
+cards holds a set.  With symmetry on, or at k = 0, its base already
+holds all k cards, so its plan has no work units: the run walks nothing,
+and its one board, the base, scores the offset with no set.  The row's
+maximum is the offset, its witness the deck less the base, and it counts
+0 nodes.  Without symmetry rows k = 1 and 2 walk, and stop at the target
+below on their first leaf step.
+
 A min-walk row whose k is at most cap(d), the most cards of a cap (a board
 holding no set) in AG(d, 3), aims at its offset and stops there.  Its
-plan's target is the offset; every other plan's is -1.  cap(d) is 9 for
+plan's target is the offset, and its floor -1; every other plan's target
+is -1.  cap(d) is 9 for
 d = 3, 20 for d = 4 (Pellegrino, Boll. Un. Mat. Ital. 1970) and 2**d
 otherwise, the cap of the cards whose digits all lie in {0, 1}: three such
 digits sum to 0 mod 3 only when all three are equal, so three distinct
@@ -92,7 +105,7 @@ the target.  This keeps the maximum and the witness of the unseeded walk:
 - A k-cap exists: k of the 2**d cards above, or, for d = 3 and 4, a cap
   of the cited size; every row the walk settles exhibits one.
 - The affine group is 2-transitive and preserves set counts, so it moves
-  some k-cap onto one holding the base cards 0 and 1.
+  some k-cap onto one holding the base cards.
 - The complement of that cap's walked board scores exactly the offset,
   and no walked board scores more: the slack is 0 and every gain is at
   most 0.  So M = offset.
@@ -269,21 +282,25 @@ class _Plan:
 
 
 def _plan(config: SearchConfig) -> _Plan:
-    """The walk that answers `config`: a pruned row with 3 <= k = 3**d - n < n
+    """The walk that answers `config`: a pruned row with k = 3**d - n < n
     walks the k missing cards, every other row its own n cards.  A pruned
-    row with 2n <= 3**d has the greedy prefix's set count as its floor,
-    and one with k <= cap(d) its offset as its target."""
+    min-walk with k <= cap(d) has its offset as its target, and every
+    other pruned plan the greedy prefix's set count as its floor."""
     dim, n = config.dim, config.n
-    pruned = config.mode == "pruned"
-    base = (0, 1) if pruned and config.symmetry else ()
+    if config.mode == "naive":
+        return _Plan(dim, n, (), 0, 0, 1, (geometry.line_count(dim),) * n, -1, -1)
+    base = (0, 1) if config.symmetry else ()
     k = 3 ** dim - n
-    if pruned and 3 <= k < n:
+    if k < n:
+        base = base[:k]
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
+        size, step, slack = k, -1, (0,) * k
         target = offset if k <= _CAPS.get(dim, 2 ** dim) else -1
-        return _Plan(dim, k, base, len(base), offset, -1, (0,) * k, -1, target)
-    slack = tuple(bound_remaining(size + 1, n) for size in range(n)) if pruned else (geometry.line_count(dim),) * n
-    floor = _greedy(dim, n)[0] if pruned and 2 * n <= 3 ** dim else -1
-    return _Plan(dim, n, base, len(base), 0, 1, slack, floor, -1)
+    else:
+        size, offset, step, target = n, 0, 1, -1
+        slack = tuple(bound_remaining(s + 1, n) for s in range(n))
+    floor = _greedy(dim, n)[0] if target < 0 else -1
+    return _Plan(dim, size, base, len(base), offset, step, slack, floor, target)
 
 
 @lru_cache(maxsize=16)
@@ -294,18 +311,17 @@ def _greedy(dim: int, n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=16)
-def _floor_witness(plan: _Plan) -> tuple[int, ...]:
-    """The greedy prefix whose set count is the plan's floor.  With a base
-    it is moved onto a board holding the base cards 0 and 1: from d = 3 on
-    the trace's first two cards are 0 and 9, and swapping the last digit of
+def _floor_witness(dim: int, n: int, moved: bool) -> tuple[int, ...]:
+    """The greedy prefix whose set count is the floor of row n.  If `moved`
+    it is moved onto a board holding cards 0 and 1: from d = 3 on the
+    trace's first two cards are 0 and 9, and swapping the last digit of
     every card with its third-last is an affine map that fixes 0 and sends
     9 to 1."""
-    cards = _greedy(plan.dim, plan.size)[1]
-    if plan.base and cards[1] != 1:
-        d = plan.dim
-        swap = {d - 1: d - 3, d - 3: d - 1}
-        matrix = tuple(tuple(int(j == swap.get(i, i)) for j in range(d)) for i in range(d))
-        cards = tuple(map(geometry.AffineMap(matrix, (0,) * d).apply_card, cards))
+    cards = _greedy(dim, n)[1]
+    if moved and cards[1] != 1:
+        swap = {dim - 1: dim - 3, dim - 3: dim - 1}
+        matrix = tuple(tuple(int(j == swap.get(i, i)) for j in range(dim)) for i in range(dim))
+        cards = tuple(map(geometry.AffineMap(matrix, (0,) * dim).apply_card, cards))
     return cards
 
 
@@ -637,7 +653,10 @@ def checkpoint_load(path) -> Checkpoint:
 
 
 def _units(plan: _Plan) -> list[int]:
-    """The top-level cards that split the walk into work units."""
+    """The top-level cards that split the walk into work units: none when
+    the base already holds all plan.size cards."""
+    if len(plan.base) == plan.size:
+        return []
     return list(range(plan.lo, plan.limit(len(plan.base))))
 
 
@@ -656,11 +675,12 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
     # lexicographically first unit that achieved it.  Strict pruning
     # guarantees every unit that contains a maximum board reports it.  A
     # best that no unit raised above the floor is the floor, with its board.
-    best = -1
-    witness = None
+    # A plan with no units walks one board, its base, which holds no set.
+    units = _units(plan)
+    best, witness = (-1, None) if units else (plan.offset, list(plan.base))
     nodes = 0
     pruned = 0
-    for u in _units(plan):
+    for u in units:
         f = frontiers.get(str(u))
         if f is None:
             continue
@@ -670,7 +690,7 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
             best = f["best"]
             witness = f["witness"]
     if plan.floor >= 0 and best <= plan.floor:
-        best, witness = plan.floor, _floor_witness(plan)
+        best, witness = plan.floor, _floor_witness(config.dim, config.n, bool(plan.base))
     elif witness is not None and plan.size != config.n:
         walked = set(witness)
         witness = [x for x in range(3 ** config.dim) if x not in walked]

@@ -7,7 +7,7 @@ import sys
 import time
 from concurrent import futures
 from dataclasses import replace
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb
 from types import SimpleNamespace
 
@@ -63,16 +63,19 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     under "idle" the number of idle pushes: those whose child level makes
     no push and does not raise best.
 
-    With `dual`, a pruned row with 3 <= k = 3**dim - n < n is the engine's
+    With `dual`, a pruned row with k = 3**dim - n < n is the engine's
     min-walk over k-card boards: the score starts at L - k r + C(k, 2),
     each card subtracts the sets it completes, no bound is added, and the
-    witness is the walked board.  Without it every row walks n cards.
+    witness is the walked board.  Its base is the first min(k, 2) of
+    cards 0 and 1 with symmetry; a walk whose base holds all its cards
+    visits nothing, and its best is the base's score, with the base as
+    witness.  Without `dual` every row walks n cards.
     """
     deck = 3 ** dim
     k = deck - n
-    complement = dual and prune and 3 <= k < n
+    complement = dual and prune and k < n
     size = k if complement else n
-    base = [0, 1] if prune and symmetry else []
+    base = ([0, 1] if prune and symmetry else [])[:size]
     need = size - len(base)
     rows = third_rows(dim)
     if complement:
@@ -92,14 +95,14 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
         cnt += new_sets(x, chosen, member)
         member[x] = 1
         chosen.append(x)
-    best, witness, nodes, pruned = -1, None, 0, 0
+    best, witness, nodes, pruned = (-1, None, 0, 0) if need else (cnt, list(base), 0, 0)
     stack, cnt_stack = [], []
     # busy[i + 1]: the child level of push stack[i] has pushed or raised
     # best; busy[0] stands for the top level, which no push opens.
     busy = [True]
     pushes = idle = 0
     c = len(base)
-    while nodes != stop_at:
+    while need and nodes != stop_at:
         if at is not None and nodes in at and at[nodes] is None:
             at[nodes] = {"stack": list(stack), "next_card": c, "best": best, "witness": witness,
                          "nodes": nodes, "pruned": pruned}
@@ -342,7 +345,7 @@ REFERENCE_ROWS = (
 
 # The rows of REFERENCE_ROWS the engine answers by a min-walk over the
 # 3**d - n missing cards.
-COMPLEMENT_ROWS = [(d, n) for d, n in REFERENCE_ROWS if 3 <= 3 ** d - n < n]
+COMPLEMENT_ROWS = [(d, n) for d, n in REFERENCE_ROWS if 3 ** d - n < n]
 
 
 class TestReferenceWalk:
@@ -455,14 +458,22 @@ class TestFloor:
         assert outcome(off) == reference_outcome(dim, n, target=plan_bounds(dim, n)["target"])
 
     def test_which_plans_have_a_floor(self):
-        deck = 27
-        for n in range(3, deck + 1):
-            floor = plan_floor(3, n)
-            if 2 * n <= deck:
-                assert floor == cmm_run(3, n).cumulative_at(n) == plan_floor(3, n, symmetry=False)
-            else:
-                assert floor == -1
-        assert search._plan(SearchConfig(3, 10, mode="naive")).floor == -1
+        # Every pruned plan, with symmetry on or off, has exactly one lower
+        # bound: the greedy prefix's count as its floor, or its offset as
+        # its target.  The naive plan has neither.
+        rows = [(dim, n) for dim in (2, 3, 4) for n in range(3, 3 ** dim + 1)]
+        rows += [(5, n) for n in (3, 121, 122, 150, 210, 211, 240, 241, 243)]
+        rows += [(6, n) for n in (3, 364, 365, 500, 664, 665, 727, 729)]
+        for dim, n in rows:
+            deck = 3 ** dim
+            r, k = (deck - 1) // 2, deck - n
+            greedy = cmm_run(dim, n).cumulative_at(n)
+            offset = deck * r // 3 - k * r + comb(k, 2)
+            for symmetry in (True, False):
+                plan = search._plan(SearchConfig(dim, n, symmetry=symmetry))
+                assert (plan.floor, plan.target) in ((greedy, -1), (-1, offset)), (dim, n, symmetry)
+            plan = search._plan(SearchConfig(dim, n, mode="naive"))
+            assert (plan.floor, plan.target) == (-1, -1)
 
     @pytest.mark.parametrize("dim,n", [(3, n) for n in range(4, 13)] + [(4, n) for n in range(4, 10)])
     def test_floor_below_the_maximum_keeps_the_walks_witness(self, dim, n, monkeypatch):
@@ -679,8 +690,9 @@ class TestParallel:
 
 class TestComplementRows:
     """Rows past half the deck through the pool and checkpoints.  d=3
-    n=17 and 18 walk boards of 10 and 9 missing cards; n=17 has no target,
-    as 10 cards are more than a cap of AG(3, 3) holds, so it walks in full."""
+    n=14, 17 and 18 walk boards of 13, 10 and 9 missing cards; n=14 and 17
+    have no target, as 13 and 10 cards are more than a cap of AG(3, 3)
+    holds, so they walk in full above their floor."""
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_pool_matches_sequential(self, n):
@@ -688,6 +700,10 @@ class TestComplementRows:
         par = pruned(3, n, threads=2)
         assert (par.max_sets, par.witness) == (seq.max_sets, seq.witness)
         assert len(par.witness) == n and count_sets_bruteforce(par.witness) == par.max_sets
+        if seq.max_sets == plan_floor(3, n):
+            # No board beats the floor (n=17), so no counter depends on
+            # the schedule.
+            assert outcome(par) == outcome(seq)
 
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         path = tmp_path / "units.ckpt"
@@ -695,9 +711,9 @@ class TestComplementRows:
         assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
 
     def test_stop_and_resume_chain(self, tmp_path):
-        ref = pruned(3, 17)
+        ref = pruned(3, 14)
         path = tmp_path / "chain.ckpt"
-        r = pruned(3, 17, checkpoint_path=str(path), stop_after_nodes=20_000)
+        r = pruned(3, 14, checkpoint_path=str(path), stop_after_nodes=20_000)
         assert not r.complete
         while not r.complete:
             r = resume_search(path, stop_after_nodes=r.nodes_visited + 100_000)
@@ -757,7 +773,8 @@ class TestTarget:
     def test_target_on_and_off(self, dim, n, monkeypatch):
         # The target keeps the maximum and the witness, each witness
         # recounts, and without it the engine counts as the one-by-one walk
-        # without one.
+        # without one, under the plan's floor (rows 14..17 have one).
+        floor = plan_floor(dim, n)
         on = pruned(dim, n)
         set_plan(monkeypatch, target=-1)
         off = pruned(dim, n)
@@ -765,7 +782,7 @@ class TestTarget:
         for r in (on, off):
             assert r.complete and len(r.witness) == n
             assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        assert outcome(off) == reference_outcome(dim, n)
+        assert outcome(off) == reference_outcome(dim, n, floor=floor)
 
     @pytest.mark.parametrize("n", range(18, 25))
     def test_target_on_and_off_without_symmetry(self, n, monkeypatch):
@@ -776,14 +793,15 @@ class TestTarget:
 
     @pytest.mark.parametrize("dim,cap", [(2, 4), (3, 9), (4, 20), (5, 32), (6, 64)])
     def test_which_plans_have_a_target(self, dim, cap):
-        # A pruned min-walk row with k <= cap(d) aims at its offset, with
-        # symmetry on or off; every other plan has target -1.
+        # A pruned min-walk row with k <= cap(d), near-full rows included,
+        # aims at its offset, with symmetry on or off; every other plan has
+        # target -1.
         deck = 3 ** dim
         for n in range(deck // 2 + 1, deck + 1):
             k = deck - n
             for symmetry in (True, False):
                 plan = search._plan(SearchConfig(dim, n, symmetry=symmetry))
-                assert plan.target == (plan.offset if 3 <= k <= cap else -1), (n, symmetry)
+                assert plan.target == (plan.offset if k <= cap else -1), (n, symmetry)
         assert search._plan(SearchConfig(dim, deck - 3, mode="naive")).target == -1
         assert search._plan(SearchConfig(dim, 3)).target == -1
 
@@ -820,6 +838,91 @@ class TestTarget:
         for threads in (1, 2):
             again = resume_search(path, threads=threads)
             assert again.complete and outcome(again) == outcome(ref)
+
+
+# The min-walk rows of d=2 and d=3 whose missing cards fit in a cap.
+CAP_ROWS = [(2, 5), (2, 6)] + [(3, n) for n in range(18, 25)]
+
+
+class TestLowerBounds:
+    """Every on/off combination of the two lower bounds, the floor and the
+    target, keeps each row's maximum, and each witness recounts."""
+
+    @pytest.mark.parametrize("dim,n", CAP_ROWS)
+    def test_floor_and_target_on_and_off(self, dim, n, monkeypatch):
+        greedy = cmm_run(dim, n).cumulative_at(n)
+        offset = search._plan(SearchConfig(dim, n)).offset
+        runs = {}
+        for floor, target in product((greedy, -1), (offset, -1)):
+            with monkeypatch.context() as m:
+                set_plan(m, floor=floor, target=target)
+                runs[floor, target] = pruned(dim, n)
+        assert len({r.max_sets for r in runs.values()}) == 1
+        for r in runs.values():
+            assert r.complete and len(r.witness) == n
+            assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
+        assert outcome(runs[-1, -1]) == reference_outcome(dim, n)
+
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    def test_floor_on_and_off_above_the_cap(self, n, monkeypatch):
+        # These rows have no target.  The greedy board reaches their
+        # maximum, so with the floor the walk finds nothing above it and
+        # the witness is the greedy board; without it the engine counts as
+        # the one-by-one walk without one.
+        on = pruned(3, n)
+        assert on.max_sets == plan_floor(3, n)
+        assert list(on.witness.cards) == greedy_witness(3, n)
+        set_plan(monkeypatch, floor=-1)
+        off = pruned(3, n)
+        assert on.max_sets == off.max_sets
+        for r in (on, off):
+            assert r.complete and len(r.witness) == n
+            assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
+        assert outcome(off) == reference_outcome(3, n)
+        assert off.nodes_visited > on.nodes_visited
+
+
+def _parent_plan(dim, n, symmetry):
+    """The plan an earlier build recorded for a near-full row: a max-walk
+    over the row's own n cards, with neither floor nor target."""
+    base = [0, 1] if symmetry else []
+    slack = [bound_remaining(size + 1, n) for size in range(n)]
+    return {"dim": dim, "size": n, "base": base, "lo": len(base), "offset": 0, "step": 1, "slack": slack,
+            "floor": -1, "target": -1}
+
+
+class TestNearFullRows:
+    """Rows with k = 3**d - n <= 2 missing cards: a board of fewer than
+    three cards holds no set, so M_d(n) = L - k r + C(k, 2), which the
+    base alone shows with symmetry on."""
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("dim,k", [(dim, k) for dim in range(2, 7) for k in (0, 1, 2)])
+    def test_row(self, dim, k, symmetry, tmp_path, capsys):
+        deck = 3 ** dim
+        n, r = deck - k, (deck - 1) // 2
+        res = pruned(dim, n, symmetry=symmetry)
+        assert res.complete and res.max_sets == deck * r // 3 - k * r + comb(k, 2)
+        assert len(res.witness) == n and count_sets(res.witness) == res.max_sets
+        if n <= 27:
+            assert count_sets_bruteforce(res.witness) == res.max_sets
+            bounds = plan_bounds(dim, n, symmetry=symmetry)
+            assert outcome(res) == reference_outcome(dim, n, symmetry=symmetry, **bounds)
+        if symmetry:
+            assert res.nodes_visited == 0
+        # A checkpoint of the row round-trips.
+        path = tmp_path / "row.ckpt"
+        assert outcome(pruned(dim, n, symmetry=symmetry, checkpoint_path=str(path))) == outcome(res)
+        assert checkpoint_load(path).config == SearchConfig(dim, n, symmetry=symmetry)
+        assert outcome(resume_search(path)) == outcome(res)
+        # A file the earlier max-walk of the row wrote names another plan.
+        payload = json.loads(path.read_text())
+        payload.update(plan=_parent_plan(dim, n, symmetry), units={})
+        path.write_text(json.dumps(payload))
+        differ = ["offset", "size", "slack", "step", "target"] + (["base", "lo"] if symmetry and k < 2 else [])
+        argv = ["search", "--props", str(dim), "--cards", str(n), "--checkpoint", str(path), "--resume"]
+        assert cli.main(argv + ([] if symmetry else ["--no-symmetry"])) == cli.EXIT_CHECKPOINT == 5
+        assert f"plan; fields that differ: {', '.join(sorted(differ))}\n" in capsys.readouterr().err
 
 
 class TestNaiveCheckpoint:
@@ -1053,13 +1156,13 @@ class TestCheckpoint:
             seen.add(json.dumps([outcome(r), json.loads(path.read_text())["units"]]))
         assert len(seen) == 1
 
-    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (17, 520_000)])
+    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (14, 2_400_000)])
     def test_one_worker_slice_schedule(self, monkeypatch, n, budget):
         # One worker walks the units in card order, each unit's slices back
         # to back.  A slice is seeded with the floor + 1 or the best of every
         # slice before it, whichever is higher, and stops a slice's worth of
         # nodes past its start, or where the run's budget runs out if sooner.
-        # No board of d=3 n=12 beats its floor; d=3 n=17 has no floor, and
+        # No board of d=3 n=12 beats its floor; d=3 n=14 is a min-walk with
         # no target, and its budget ends inside its sixth unit.
         monkeypatch.setattr(search, "_SLICE", 4096)
         real_walk, calls = search._dfs_segment, []
