@@ -42,9 +42,11 @@ itself, an n-card board even for a min-walk (with symmetry on, moved by
 an affine map onto a board holding cards 0 and 1).  Then every slice
 prunes against g + 1 whatever the schedule, so a pool counts nodes and
 prunes exactly as one worker does.  The naive plan has neither bound and
-prunes nothing.  The prefix costs one greedy turn per card, each a scan
-of the deck: on the largest row that pays it, d=8 n=6304 (k = 257, one
-card above the cap below), about 3.4 s on a 2-vCPU machine.
+prunes nothing.  The prefix is read from a trace of fewer than 2n greedy
+turns that serves every row up to its length (see _greedy), each turn a
+scan of the deck: on the largest row that pays it, d=8 n=6304 (k = 257,
+one card above the cap below), the whole 6561-turn trace takes about
+3.2 s on a 2-vCPU machine.
 
 Every run splits the walk at its top level.  Work unit u, card u and its
 subtree, is the walk from {stack: [], next_card: u} inside the level ends
@@ -154,12 +156,8 @@ CHECKPOINT_VERSION = 5
 
 CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds", "complete")
 
-# The hot loop only looks at the clock / stop limit every time the node
-# counter crosses a multiple of this power of two.
-_PROGRESS_EVERY = 4096
-
 # A run pauses only between slices of a unit's walk, each ending at the first
-# stop check this many nodes past its start.
+# step end this many nodes past its start.
 _SLICE = 1 << 18
 
 # The most cards of a cap in AG(d, 3) where it is known and above 2**d.
@@ -261,6 +259,10 @@ def _fresh_state(u: int) -> dict:
     return {"stack": [], "next_card": u, "best": -1, "witness": None, "nodes": 0, "pruned": 0}
 
 
+# The fields of a frontier, which _dfs_segment writes on return.
+_FRONTIER_KEYS = tuple(_fresh_state(0))
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The walk of a search, as _plan decides it (see the module docstring)."""
@@ -303,11 +305,18 @@ def _plan(config: SearchConfig) -> _Plan:
     return _Plan(dim, size, base, len(base), offset, step, slack, floor, target)
 
 
-@lru_cache(maxsize=16)
 def _greedy(dim: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """The set count and the cards of the greedy trace's n-card prefix."""
-    trace = heuristics.cmm_run(dim, n)
-    return trace.cumulative_at(n), tuple(t.card for t in trace.turns)
+    """The set count and the cards of the greedy trace's n-card prefix,
+    read from a trace of min(3**d, the next power of two >= n) turns: a
+    trace's first n turns do not depend on where it stops, so one trace
+    serves every row up to its length."""
+    trace = _trace(dim, min(3 ** dim, 1 << (n - 1).bit_length()))
+    return trace.cumulative_at(n), tuple(t.card for t in trace.turns[:n])
+
+
+@lru_cache(maxsize=16)
+def _trace(dim: int, turns: int) -> heuristics.CmmTrace:
+    return heuristics.cmm_run(dim, turns)
 
 
 @lru_cache(maxsize=16)
@@ -357,12 +366,12 @@ def _dfs_segment(
     u: int,
     *,
     seed_best: int = -1,
-    stop_after_nodes: int | None = None,
+    stop_after_nodes: float = inf,
 ) -> dict:
     """Advance the depth-first walk described by `state` until the subtree is
-    exhausted, its best reaches the plan's target, or a stop trigger fires,
-    and return `state`: _exhausted and _hit tell which.  The return lets a
-    pool task hand its frontier back.
+    exhausted, its best reaches the plan's target, or its node counter
+    reaches stop_after_nodes, and return `state`: _exhausted and _hit tell
+    which.  The return lets a pool task hand its frontier back.
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
@@ -370,10 +379,10 @@ def _dfs_segment(
     work unit u's: it starts from {stack: [], next_card: u} and stays inside
     the level ends _ends(plan, u).  `seed_best` only tightens pruning;
     best/witness in the state reflect boards actually visited here, which
-    is what keeps merged parallel results deterministic.  The walk leaves
-    its frontier in `state` at every stop check and when it stops or ends.
-    A KeyboardInterrupt, which can land inside a step, propagates with
-    `state` at the frontier of the last check.
+    is what keeps merged parallel results deterministic.  The walk writes
+    its frontier into `state` once, when it stops or ends.  A
+    KeyboardInterrupt, which can land inside a step, propagates with
+    `state` at the frontier the walk started from.
 
     Every candidate c is larger than every chosen card, so it scores
     cnt + gain[c] (see the module docstring).  Each step of the walk enters
@@ -429,37 +438,30 @@ def _dfs_segment(
       child's step and the pop would have: child limit - c nodes, of
       which child limit - c - 1 prunes above a leaf child.
     - The step ends at its first push, at the end of the level, which it
-      pops, or after the first skip that brings nodes to the next check.
+      pops, or after the first skip that brings nodes to stop_after_nodes.
 
     The loop keeps ahead = nodes - c and kept = nodes - pruned in place of
     the counters: each candidate adds one node as c moves past it, and a
     pruned one adds a prune too, so a run of pruned candidates changes
     neither.
 
-    The stop trigger is checked on entry, then between steps once the
-    node counter has reached the next multiple of _PROGRESS_EVERY above
-    the last check, so a walk stopped at a check and resumed checks at the
-    same node counts as one never stopped.  A walk whose every step
-    handles one candidate (a push, a skip, or a level's leaves or last
-    prune run with its pop) checks after each push, skip and pop; this
-    one after each push and pop, and after a skip only once nodes has
-    reached the check, the one place the other walk's check fires.
-    Both do the same work in the same order, so their checks fire at the
-    same node counts and a stop leaves the same best, witness and
+    The walk stops at the first step end where nodes has reached
+    stop_after_nodes, at once if it already has on entry.  A walk whose
+    every step handles one candidate (a push, a skip, or a level's leaves
+    or last prune run with its pop) would stop after the first push, skip
+    or pop that reaches the limit; this one looks after each push and pop,
+    and after a skip only once nodes has reached the limit, the one place
+    the other walk stops.  Both do the same work in the same order, so
+    they stop at the same node count with the same best, witness and
     counters.  Only a level that a skip ended is saved differently: this
     walk pops it first, saving [.., p] with next card p + 1, where the
     other saved [.., p, q] with next card at the limit of q's level; both
-    resume to the same walk.  A step starts below its check and ends by
+    resume to the same walk.  A step starts below the limit and ends by
     the first run of prunes, with the skip or push after it, that reaches
-    the check; such a run adds at most child limit - c nodes (a leaf
-    level, fewer than limit), so a stop overshoots stop_after_nodes by
-    less than a deck's worth beyond that check.
+    it; such a run adds at most child limit - c nodes (a leaf level, fewer
+    than limit), so a stop overshoots stop_after_nodes by less than a
+    deck.
     """
-    # The check on entry: the state already holds the frontier it saves.
-    if stop_after_nodes is not None and state["nodes"] >= stop_after_nodes:
-        return state
-    next_check = (state["nodes"] | (_PROGRESS_EVERY - 1)) + 1
-
     n, base_len = plan.size, len(plan.base)
 
     best = state["best"]
@@ -497,16 +499,10 @@ def _dfs_segment(
     kept = state["nodes"] - state["pruned"]
 
     while True:
-        if ahead + c >= next_check:
-            # The frontier (stack, c) is saved before candidate c is
-            # processed, so a resumed run recounts nothing.
-            nodes = ahead + c
-            if stop_after_nodes is not None and nodes >= stop_after_nodes:
-                break
-            state.update(
-                stack=chosen[base_len:], next_card=c, best=best, witness=witness, nodes=nodes, pruned=nodes - kept
-            )
-            next_check = (nodes | (_PROGRESS_EVERY - 1)) + 1
+        # A stop saves the frontier (stack, c) before candidate c is
+        # processed, so a resumed run recounts nothing.
+        if ahead + c >= stop_after_nodes:
+            break
 
         limit = limit_at[size]
         if size == leaf:
@@ -556,7 +552,7 @@ def _dfs_segment(
                         ahead += child - c - 1
                         kept += 1 if deep else child - c
                         c += 1
-                        if ahead + c < next_check:
+                        if ahead + c < stop_after_nodes:
                             continue
                         break
                 kept += 1
@@ -717,8 +713,9 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     unit map, in card order, a report_interval after the last save (and at
     the end), and starts no slice after an interrupt or once its node
     budget is spent, nor of a unit past the first to reach the target.
-    A save lists every started unit, a pool task's at the frontier its
-    running slice started from.
+    A save lists every started unit, one whose slice is still running in
+    the pool or was cut by a Ctrl-C at the frontier that slice started
+    from.
     Before any unit starts, a naive search over its budget is refused with
     BudgetExceededError, and with ValueError a checkpoint path that names
     no file in a writable directory (such as "", "a/" or a directory)."""
@@ -741,7 +738,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     plan = _plan(config)
     units = _units(plan)
     frontiers = dict(frontiers or {})
-    stop = config.stop_after_nodes
+    stop = inf if config.stop_after_nodes is None else config.stop_after_nodes
     # The seed of every slice: the best so far, or the floor + 1 or the
     # target if higher.
     best = max([plan.floor + 1, plan.target] + [f["best"] for f in frontiers.values()])
@@ -770,8 +767,8 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     with pool or nullcontext():
         while True:
             # A Ctrl-C that lands anywhere in a round starts no further
-            # slice; an in-process slice keeps the frontier of its last
-            # check, and the running pool slices still return theirs.
+            # slice; an in-process slice leaves its unit at the frontier it
+            # started from, and the running pool slices still return theirs.
             try:
                 while running or going and waiting:
                     # An in-process slice has ended before the next starts,
@@ -782,7 +779,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                         u = waiting.pop()
                         state = frontiers.setdefault(str(u), _fresh_state(u))
                         before = state["nodes"]
-                        cap = before + (_SLICE if stop is None else min(_SLICE, stop - spent))
+                        cap = before + min(_SLICE, stop - spent)
                         if pool is None:
                             _dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=cap)
                             ended.append((u, before, state))
@@ -797,7 +794,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                         if state["best"] > best:
                             best = state["best"]
                         spent += state["nodes"] - before
-                        going = going and (stop is None or spent < stop)
+                        going = going and spent < stop
                         if _hit(plan, state) and u < hit:
                             hit = u
                             waiting = [w for w in waiting if w < hit]
@@ -840,9 +837,6 @@ def max_sets_pruned(config: SearchConfig) -> SearchResult:
 
 def run_search(config: SearchConfig) -> SearchResult:
     return _run(config)
-
-
-_FRONTIER_KEYS = ("stack", "next_card", "best", "witness", "nodes", "pruned")
 
 
 def _off_path(plan: _Plan, u: int, path: list[int], reach: bool) -> str | None:

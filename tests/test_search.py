@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from setmax import cli, search
+from setmax import cli, heuristics, search
 from setmax.counting import Board, count_sets, count_sets_bruteforce, delta_sets
 from setmax.geometry import all_lines, decode_card, encode_card, third_rows
 from setmax.heuristics import cmm_run
@@ -396,18 +396,18 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11), (3, 18)])
     def test_every_check_sees_the_reference_frontier(self, dim, n):
-        # At each progress check of unit 2 (the first, unseeded one) the
-        # engine's frontier is the one-by-one walk's at the same node
-        # count, once levels whose next card has reached their limit are
-        # popped: however the engine groups candidates into steps, it
-        # checks only between whole candidates, never inside a push.  A
-        # walk asked to stop one node on stops at its next check, which is
-        # where the uninterrupted walk checks too.
+        # Wherever unit 2's walk (the first, unseeded one) stops, its
+        # frontier is the one-by-one walk's at the same node count, once
+        # levels whose next card has reached their limit are popped:
+        # however the engine groups candidates into steps, it stops only
+        # at a step end, between whole candidates, never inside a push.
+        # A walk asked to stop 4096 nodes on stops at the first step end
+        # past that, and is compared at every such stop.
         plan = search._plan(SearchConfig(dim, n))
         state = search._fresh_state(2)
         seen = []
         while True:
-            search._dfs_segment(plan, state, 2, stop_after_nodes=state["nodes"] + 1)
+            search._dfs_segment(plan, state, 2, stop_after_nodes=state["nodes"] + 4096)
             if search._exhausted(2, state):
                 break
             seen.append(json.loads(json.dumps(state)))
@@ -474,6 +474,22 @@ class TestFloor:
                 assert (plan.floor, plan.target) in ((greedy, -1), (-1, offset)), (dim, n, symmetry)
             plan = search._plan(SearchConfig(dim, n, mode="naive"))
             assert (plan.floor, plan.target) == (-1, -1)
+
+    def test_one_greedy_trace_serves_many_rows(self, monkeypatch):
+        # A row reads its greedy prefix from a trace of min(3**d, the next
+        # power of two >= n) turns, so the plans of d=6 n=365..729 (floors
+        # up to n=664) run two traces, of 512 and 729 turns, not one per row.
+        real, calls = heuristics.cmm_run, []
+
+        def cmm_run(dim, upto=None):
+            calls.append((dim, upto))
+            return real(dim, upto)
+
+        monkeypatch.setattr(heuristics, "cmm_run", cmm_run)
+        search._trace.cache_clear()
+        floors = [search._plan(SearchConfig(6, n)).floor for n in range(365, 730)]
+        assert sorted(calls) == [(6, 512), (6, 729)]
+        assert floors[664 - 365] >= 0 and floors[665 - 365] == -1
 
     @pytest.mark.parametrize("dim,n", [(3, n) for n in range(4, 13)] + [(4, n) for n in range(4, 10)])
     def test_floor_below_the_maximum_keeps_the_walks_witness(self, dim, n, monkeypatch):
@@ -559,8 +575,8 @@ class TestResumeInsideBlocks:
             path = tmp_path / f"stop{stop}.ckpt"
             r = pruned(3, 12, checkpoint_path=str(path), stop_after_nodes=stop)
             assert not r.complete
-            # One step scores at most one level's candidates past the check.
-            assert stop <= r.nodes_visited < stop + 4096 + deck
+            # One step scores at most one level's candidates past the stop.
+            assert stop <= r.nodes_visited < stop + deck
             while not r.complete:
                 r = resume_search(path, stop_after_nodes=r.nodes_visited + 150_000)
             assert outcome(r) == outcome(ref)
@@ -590,12 +606,12 @@ class TestParallel:
 
     def test_pool_units_stop_at_the_budget(self):
         # Each of the two running slices stops at the budget left when it
-        # started, overshooting it by less than a progress interval plus a
-        # deck; no slice starts after a stop.
+        # started, overshooting it by less than a deck; no slice starts
+        # after a stop.
         budget = 100_000
         r = pruned(4, 10, threads=2, stop_after_nodes=budget)
         assert not r.complete
-        assert r.nodes_visited < 2 * (budget + search._PROGRESS_EVERY + 81)
+        assert r.nodes_visited < 2 * (budget + 81)
 
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         # A one-worker pool runs the units in order, each seeded with the
@@ -1128,7 +1144,7 @@ class TestCheckpoint:
         # that units span many of them.  No unit of d=4 n=7 reads it as
         # often as `interval` times, yet the run saves once per interval,
         # and not once per unit or once per slice.
-        monkeypatch.setattr(search, "_SLICE", search._PROGRESS_EVERY)
+        monkeypatch.setattr(search, "_SLICE", 4096)
         saves = _tick_and_record_saves(monkeypatch)
         # Under its floor the row reads the clock about 110 times, its
         # largest unit 21 of them.
@@ -1144,9 +1160,10 @@ class TestCheckpoint:
         assert all(interval <= b - a <= interval + 1 for a, b in zip([1.0] + periodic, periodic))
 
     def test_budgeted_run_ignores_the_slice_size(self, tmp_path, monkeypatch):
-        # A stop check falls at the same node count whether or not the
-        # walk paused at a slice end before it, so a budgeted one-worker
-        # run stops at the same frontier whatever the slice size.
+        # A walk stops at the first step end past its limit, and a slice
+        # end between steps leaves the frontier a walk that never paused
+        # there passes through, so a budgeted one-worker run stops at the
+        # same frontier whatever the slice size.
         seen = set()
         for size in (4096, 1 << 18, 1 << 40):
             monkeypatch.setattr(search, "_SLICE", size)
@@ -1155,6 +1172,16 @@ class TestCheckpoint:
             assert not r.complete
             seen.add(json.dumps([outcome(r), json.loads(path.read_text())["units"]]))
         assert len(seen) == 1
+
+    def test_budgeted_run_stops_within_a_deck(self):
+        # A one-worker run stops at the first step end past its budget, and
+        # one step adds fewer nodes than the 81-card deck holds: a level's
+        # prune run and the push or skip after it, or a leaf level.  The
+        # budgets lie on both sides of the 262,144-node slice size.
+        for budget in (1, 4095, 4097, 99_999, 262_144, 262_145, 777_777, 1_500_000):
+            r = pruned(4, 10, stop_after_nodes=budget)
+            assert not r.complete
+            assert budget <= r.nodes_visited < budget + 81, budget
 
     @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (14, 2_400_000)])
     def test_one_worker_slice_schedule(self, monkeypatch, n, budget):
@@ -1189,8 +1216,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("joined", [False, True])
     def test_interrupt_inside_a_step(self, tmp_path, monkeypatch, joined):
         # A KeyboardInterrupt inside a push, before or after the card has
-        # joined the board, leaves the frontier of the walk's last check,
-        # and the run resumes to the uninterrupted result.
+        # joined the board, leaves the unit at the frontier its slice
+        # started from, and the run resumes to the uninterrupted result.
         real_add = search.add_to_gain
         calls = count()
 
@@ -1447,9 +1474,9 @@ class TestUnitsCheckpointValidation:
     @pytest.mark.parametrize("dim,n,mode", [(3, 10, "pruned"), (3, 18, "pruned"), (4, 7, "pruned"), (3, 6, "naive")])
     def test_every_frontier_of_the_walk_accepted(self, dim, n, mode):
         # Every frontier a unit's walk leaves passes the check: fresh, at
-        # each progress check and at the end, for every unit of the row,
-        # each seeded as a one-worker run seeds it.  A walk asked to stop
-        # one node on stops at its next check.
+        # each stop and at the end, for every unit of the row, each seeded
+        # as a one-worker run seeds it.  A walk asked to stop 4096 nodes on
+        # stops at the first step end past that.
         plan = search._plan(SearchConfig(dim, n, mode=mode))
         checked = count()
         best = -1
@@ -1460,7 +1487,7 @@ class TestUnitsCheckpointValidation:
                 next(checked)
                 if search._exhausted(u, state):
                     break
-                search._dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=state["nodes"] + 1)
+                search._dfs_segment(plan, state, u, seed_best=best, stop_after_nodes=state["nodes"] + 4096)
             best = max(best, state["best"])
         assert next(checked) > 2 * len(search._units(plan))
 
