@@ -7,7 +7,7 @@ depth-first and discards a branch when even an optimistic completion
 cannot beat the best board seen.  With symmetry on it also fixes the first
 two cards to 0 and 1: the affine group moves any ordered pair of distinct
 cards onto any other while preserving set counts, so some maximizer
-contains that pair.
+contains that pair.  (A min-walk over k >= 4 cards, below, fixes three.)
 
 Both engines share one depth-first walk, which scores candidates through a
 gain array: gain[x] is the number of pairs of chosen cards whose third
@@ -34,9 +34,9 @@ The prefix is a real board, so the maximum M >= g.  A board scoring g + 1
 or more has every prefix bound at least g + 1 (a max-walk's bound is the
 prefix score plus its slack; a min-walk's, below, is the prefix score
 itself, never below the board's as scores never rise along a branch),
-so strict pruning at g + 1 visits it.  So if
-M > g the walk visits every maximizer, and its maximum and witness are
-those of the walk without a floor, at any worker count.  Otherwise no
+so strict pruning at g + 1 visits it.  So if M > g the walk visits
+every maximizer it holds, and its maximum and witness are those of the
+walk without a floor, at any worker count.  Otherwise no
 walked board scores above g, M = g, and the witness is the greedy prefix
 itself, an n-card board even for a min-walk (with symmetry on, moved by
 an affine map onto a board holding cards 0 and 1).  Then every slice
@@ -70,10 +70,27 @@ t_2 + 3 t_3 = C(k, 2), so the sets on the N - k cards outside B number
 
 and M_d(N - k) = L - k r + C(k, 2) - m_d(k), where m_d(k) is the fewest
 sets on any k-card board.  A pruned row with k = N - n < n therefore
-walks boards of k cards, the same lexicographic walk over the same base
-cut to k cards: with symmetry on, the first min(k, 2) of cards 0 and 1
-(the affine group is 2-transitive, so it moves any board of k cards onto
-one holding them).  Its score starts at L - k r + C(k, 2) and its gain
+walks boards of k cards, the same lexicographic walk cut to k cards.
+With symmetry on and k <= 3 its base is the first min(k, 2) of cards 0
+and 1 (the affine group is 2-transitive, so it moves any board of k cards
+onto one holding them).  With symmetry on and k >= 4 its base is cards
+0, 1 and 3, a pair and a card off their line, and its first candidate is
+card 4, so card 2, the third card of 0 and 1, never joins.  Some board
+with the fewest sets lies in that walk:
+
+- No k-card flat (affine subspace) is such a board.  A line through a
+  card x outside a flat meets the flat in at most one card, so replacing
+  one card of the flat with x removes the (k - 1) / 2 sets through that
+  card and adds none.  So every board with the fewest sets is not a flat.
+- A board B that is not a flat is not closed under third cards (over
+  GF(3) a set closed under them is a flat): it holds a pair {a, b} whose
+  third card c lies outside B, and, as k >= 3, a card p off the line
+  {a, b, c}, since c is that line's only card outside B.
+- a, b, p are affinely independent, as are 0, 1, 3, so an affine map
+  sends a, b, p to 0, 1, 3.  It preserves set counts and sends c to 2,
+  the third card of 0 and 1, so card 2 lies outside the image of B.
+
+The walk's score starts at L - k r + C(k, 2) and its gain
 array steps by -1 per completed pair, so cnt + gain[c] is exactly the set
 count of the complement of the board extended by c, and the walk maximizes
 it.  A card joining a board only adds sets, so a score never rises along a
@@ -107,7 +124,10 @@ the target.  This keeps the maximum and the witness of the unseeded walk:
 - A k-cap exists: k of the 2**d cards above, or, for d = 3 and 4, a cap
   of the cited size; every row the walk settles exhibits one.
 - The affine group is 2-transitive and preserves set counts, so it moves
-  some k-cap onto one holding the base cards.
+  some k-cap onto one holding the base cards.  For k >= 4, any three
+  cards of a k-cap are non-collinear, so an affine map sends three of
+  them to 0, 1 and 3; the image, a cap, then misses card 2, which
+  completes 0 and 1 to a set.
 - The complement of that cap's walked board scores exactly the offset,
   and no walked board scores more: the slack is 0 and every gain is at
   most 0.  So M = offset.
@@ -265,7 +285,10 @@ _FRONTIER_KEYS = tuple(_fresh_state(0))
 
 @dataclass(frozen=True)
 class _Plan:
-    """The walk of a search, as _plan decides it (see the module docstring)."""
+    """The walk of a search, as _plan decides it (see the module docstring).
+    lo is the first candidate of the top level, the card after the base's
+    last (0 with no base): a card below it outside the base, such as card
+    2 of the base (0, 1, 3), never joins a board."""
 
     dim: int
     size: int
@@ -285,7 +308,10 @@ class _Plan:
 
 def _plan(config: SearchConfig) -> _Plan:
     """The walk that answers `config`: a pruned row with k = 3**d - n < n
-    walks the k missing cards, every other row its own n cards.  A pruned
+    walks the k missing cards, every other row its own n cards.  With
+    symmetry on, a pruned walk starts from cards 0 and 1, cut to k cards
+    on a min-walk with k <= 3 and joined by card 3 on one with k >= 4; lo,
+    its first candidate, is the card after the base's last.  A pruned
     min-walk with k <= cap(d) has its offset as its target, and every
     other pruned plan the greedy prefix's set count as its floor."""
     dim, n = config.dim, config.n
@@ -294,7 +320,7 @@ def _plan(config: SearchConfig) -> _Plan:
     base = (0, 1) if config.symmetry else ()
     k = 3 ** dim - n
     if k < n:
-        base = base[:k]
+        base = base + (3,) if config.symmetry and k >= 4 else base[:k]
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
         size, step, slack = k, -1, (0,) * k
         target = offset if k <= _CAPS.get(dim, 2 ** dim) else -1
@@ -302,7 +328,7 @@ def _plan(config: SearchConfig) -> _Plan:
         size, offset, step, target = n, 0, 1, -1
         slack = tuple(bound_remaining(s + 1, n) for s in range(n))
     floor = _greedy(dim, n)[0] if target < 0 else -1
-    return _Plan(dim, size, base, len(base), offset, step, slack, floor, target)
+    return _Plan(dim, size, base, base[-1] + 1 if base else 0, offset, step, slack, floor, target)
 
 
 def _greedy(dim: int, n: int) -> tuple[int, tuple[int, ...]]:

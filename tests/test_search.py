@@ -66,16 +66,19 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     With `dual`, a pruned row with k = 3**dim - n < n is the engine's
     min-walk over k-card boards: the score starts at L - k r + C(k, 2),
     each card subtracts the sets it completes, no bound is added, and the
-    witness is the walked board.  Its base is the first min(k, 2) of
-    cards 0 and 1 with symmetry; a walk whose base holds all its cards
-    visits nothing, and its best is the base's score, with the base as
-    witness.  Without `dual` every row walks n cards.
+    witness is the walked board.  Its base with symmetry is the first
+    min(k, 2) of cards 0 and 1 for k <= 3, and cards 0, 1 and 3 for
+    k >= 4, whose candidates start at card 4; a walk whose base holds all
+    its cards visits nothing, and its best is the base's score, with the
+    base as witness.  Without `dual` every row walks n cards.
     """
     deck = 3 ** dim
     k = deck - n
     complement = dual and prune and k < n
     size = k if complement else n
     base = ([0, 1] if prune and symmetry else [])[:size]
+    if complement and symmetry and size >= 4:
+        base.append(3)
     need = size - len(base)
     rows = third_rows(dim)
     if complement:
@@ -101,7 +104,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     # best; busy[0] stands for the top level, which no push opens.
     busy = [True]
     pushes = idle = 0
-    c = len(base)
+    c = base[-1] + 1 if base else 0
     while need and nodes != stop_at:
         if at is not None and nodes in at and at[nodes] is None:
             at[nodes] = {"stack": list(stack), "next_card": c, "best": best, "witness": witness,
@@ -396,19 +399,20 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11), (3, 18)])
     def test_every_check_sees_the_reference_frontier(self, dim, n):
-        # Wherever unit 2's walk (the first, unseeded one) stops, its
+        # Wherever the first unit's walk (the unseeded one) stops, its
         # frontier is the one-by-one walk's at the same node count, once
         # levels whose next card has reached their limit are popped:
         # however the engine groups candidates into steps, it stops only
         # at a step end, between whole candidates, never inside a push.
-        # A walk asked to stop 4096 nodes on stops at the first step end
+        # A walk asked to stop 1024 nodes on stops at the first step end
         # past that, and is compared at every such stop.
         plan = search._plan(SearchConfig(dim, n))
-        state = search._fresh_state(2)
+        u = plan.lo
+        state = search._fresh_state(u)
         seen = []
         while True:
-            search._dfs_segment(plan, state, 2, stop_after_nodes=state["nodes"] + 4096)
-            if search._exhausted(2, state):
+            search._dfs_segment(plan, state, u, stop_after_nodes=state["nodes"] + 1024)
+            if search._exhausted(u, state):
                 break
             seen.append(json.loads(json.dumps(state)))
         assert len(seen) >= 8
@@ -776,9 +780,28 @@ class TestComplementRows:
         with pytest.raises(CheckpointError, match="plan; fields that differ: size$"):
             resume_search(path)
 
+    def test_file_of_the_two_card_base_refused(self, tmp_path, capsys, monkeypatch):
+        # A file an earlier build saved walking d=3 n=15 (k = 12) from cards
+        # 0 and 1 names another plan.  Row 24 (k = 3) walks the same plan
+        # as before, so its file still resumes.
+        for n in (15, 24):
+            path = tmp_path / f"{n}.ckpt"
+            with monkeypatch.context() as m:
+                set_plan(m, base=(0, 1), lo=2)
+                assert not pruned(3, n, checkpoint_path=str(path), stop_after_nodes=0).complete
+            code = cli.main(["search", "--props", "3", "--cards", str(n), "--checkpoint", str(path), "--resume"])
+            out, err = capsys.readouterr()
+            if n == 15:
+                assert code == cli.EXIT_CHECKPOINT == 5
+                assert err.endswith("plan; fields that differ: base, lo\n")
+            else:
+                assert code == 0 and out.splitlines()[0] == "81" and out.splitlines()[-1] == "complete: true"
 
-# Every row of d=2 and d=3 the engine answers by a min-walk.
-MIN_WALK_ROWS = [(2, 5), (2, 6)] + [(3, n) for n in range(14, 25)]
+
+# Every row of d=2 and d=3 the engine answers by a min-walk, with its maximum.
+MIN_WALK_MAXIMA = {(2, 5): 2, (2, 6): 3}
+MIN_WALK_MAXIMA.update(zip([(3, n) for n in range(14, 25)], [19, 23, 26, 30, 36, 41, 47, 54, 62, 71, 81]))
+MIN_WALK_ROWS = list(MIN_WALK_MAXIMA)
 
 
 class TestTarget:
@@ -856,28 +879,30 @@ class TestTarget:
             assert again.complete and outcome(again) == outcome(ref)
 
 
-# The min-walk rows of d=2 and d=3 whose missing cards fit in a cap.
-CAP_ROWS = [(2, 5), (2, 6)] + [(3, n) for n in range(18, 25)]
-
-
 class TestLowerBounds:
-    """Every on/off combination of the two lower bounds, the floor and the
-    target, keeps each row's maximum, and each witness recounts."""
+    """Every on/off combination of the reductions a min-walk stacks, the
+    base 0, 1, 3 (with symmetry on and k >= 4), the floor and the target,
+    keeps each row's maximum, and each witness recounts."""
 
-    @pytest.mark.parametrize("dim,n", CAP_ROWS)
+    @pytest.mark.parametrize("dim,n", MIN_WALK_ROWS)
     def test_floor_and_target_on_and_off(self, dim, n, monkeypatch):
+        # Rows 14..17 have no target to switch on, and on rows with k = 3
+        # the base 0, 1, 3 is the whole walked board.
+        plan = search._plan(SearchConfig(dim, n))
+        own = (0, 1, 3) if plan.size >= 4 else (0, 1)[:plan.size]
+        assert (plan.base, plan.lo) == (own, own[-1] + 1)
         greedy = cmm_run(dim, n).cumulative_at(n)
-        offset = search._plan(SearchConfig(dim, n)).offset
         runs = {}
-        for floor, target in product((greedy, -1), (offset, -1)):
+        for base, floor, target in product([(0, 1, 3), (0, 1)], {greedy, -1}, {plan.target, -1}):
             with monkeypatch.context() as m:
-                set_plan(m, floor=floor, target=target)
-                runs[floor, target] = pruned(dim, n)
-        assert len({r.max_sets for r in runs.values()}) == 1
-        for r in runs.values():
-            assert r.complete and len(r.witness) == n
-            assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        assert outcome(runs[-1, -1]) == reference_outcome(dim, n)
+                set_plan(m, base=base, lo=base[-1] + 1, floor=floor, target=target)
+                runs[base, floor, target] = pruned(dim, n)
+        for key, r in runs.items():
+            assert r.complete and r.max_sets == MIN_WALK_MAXIMA[dim, n], key
+            assert len(r.witness) == n and count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
+        if plan.target >= 0:
+            # Rows 15..17 meet the reference walk without a floor below.
+            assert outcome(runs[plan.base, -1, -1]) == reference_outcome(dim, n)
 
     @pytest.mark.parametrize("n", [15, 16, 17])
     def test_floor_on_and_off_above_the_cap(self, n, monkeypatch):
@@ -1183,7 +1208,7 @@ class TestCheckpoint:
             assert not r.complete
             assert budget <= r.nodes_visited < budget + 81, budget
 
-    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (14, 2_400_000)])
+    @pytest.mark.parametrize("n, budget", [(12, 1_500_000), (14, "sixth-unit")])
     def test_one_worker_slice_schedule(self, monkeypatch, n, budget):
         # One worker walks the units in card order, each unit's slices back
         # to back.  A slice is seeded with the floor + 1 or the best of every
@@ -1191,6 +1216,8 @@ class TestCheckpoint:
         # nodes past its start, or where the run's budget runs out if sooner.
         # No board of d=3 n=12 beats its floor; d=3 n=14 is a min-walk with
         # no target, and its budget ends inside its sixth unit.
+        if budget == "sixth-unit":
+            budget = _budget_inside_unit(3, n, 5)
         monkeypatch.setattr(search, "_SLICE", 4096)
         real_walk, calls = search._dfs_segment, []
 
@@ -1204,6 +1231,8 @@ class TestCheckpoint:
         assert not pruned(3, n, stop_after_nodes=budget).complete
         units = [u for u, *_ in calls]
         assert units == sorted(units) and len(set(units)) > 5
+        if n == 14:
+            assert units[-1] == search._units(search._plan(SearchConfig(3, n)))[5]
         floor, best, spent, last = plan_floor(3, n), -1, 0, (None, 0)
         for u, before, seed, stop, unit_best, after in calls:
             left = budget - spent
@@ -1292,6 +1321,19 @@ print("ok")
             checkpoint_load(path)
 
 
+def _budget_inside_unit(dim, n, index):
+    """A node budget that ends a one-worker run of the row halfway through
+    its unit `index` (0 for the first): the row's units walked once, in
+    card order, each seeded as a one-worker run seeds it."""
+    plan = search._plan(SearchConfig(dim, n))
+    best, spent = max(plan.floor + 1, plan.target), 0
+    for u in search._units(plan)[:index + 1]:
+        state = search._dfs_segment(plan, search._fresh_state(u), u, seed_best=best)
+        best = max(best, state["best"])
+        spent += state["nodes"]
+    return spent - state["nodes"] // 2
+
+
 def _tick_and_record_saves(monkeypatch):
     """Make search's clock tick once per reading, and return the list each
     checkpoint save appends (clock before the save, saved units) to."""
@@ -1377,10 +1419,10 @@ BAD_FILES = {
     ),
     "plan missing": (lambda p: p.pop("plan"), "records no walk plan"),
     # A version 2 build walked the n cards of the complement row n=18; the
-    # min-walk has no floor.
+    # min-walk has no floor, and starts from cards 0, 1 and 3.
     "plan walks the n cards of a complement row": (
         lambda p: (p["config"].update(n=18), p["plan"].update(size=18)),
-        "plan; fields that differ: floor, offset, size, slack, step",
+        "plan; fields that differ: base, floor, lo, offset, size, slack, step",
     ),
     # A build before the floor recorded none.
     "plan without a floor": (lambda p: p["plan"].pop("floor"), "plan; fields that differ: floor"),
