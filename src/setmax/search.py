@@ -7,7 +7,7 @@ depth-first and discards a branch when even an optimistic completion
 cannot beat the best board seen.  With symmetry on it also fixes the first
 two cards to 0 and 1: the affine group moves any ordered pair of distinct
 cards onto any other while preserving set counts, so some maximizer
-contains that pair.  (A min-walk over k >= 4 cards, below, fixes three.)
+contains that pair.  (A min-walk that walks, below, fixes three.)
 
 Both engines share one depth-first walk, which scores candidates through a
 gain array: gain[x] is the number of pairs of chosen cards whose third
@@ -26,10 +26,9 @@ witness independent of worker scheduling; the node and prune counters of a
 parallel run are not when a walked board beats the floor below, because
 each unit then prunes against the best value known when it starts.
 
-Every pruned plan starts from one lower bound: the target of a min-walk
-whose missing cards fit in a cap (below), or else the floor.  The floor
-is g, the set count of the n-card prefix of the greedy trace
-(heuristics.cmm_run), and every slice prunes against at least g + 1.
+A pruned plan with work units (below) prunes against its floor, g, the
+set count of the n-card prefix of the greedy trace (heuristics.cmm_run):
+every slice prunes against at least g + 1.
 The prefix is a real board, so the maximum M >= g.  A board scoring g + 1
 or more has every prefix bound at least g + 1 (a max-walk's bound is the
 prefix score plus its slack; a min-walk's, below, is the prefix score
@@ -41,10 +40,10 @@ walked board scores above g, M = g, and the witness is the greedy prefix
 itself, an n-card board even for a min-walk (with symmetry on, moved by
 an affine map onto a board holding cards 0 and 1).  Then every slice
 prunes against g + 1 whatever the schedule, so a pool counts nodes and
-prunes exactly as one worker does.  The naive plan has neither bound and
+prunes exactly as one worker does.  The naive plan has no floor and
 prunes nothing.  The prefix is read from a trace of fewer than 2n greedy
 turns that serves every row up to its length (see _greedy), each turn a
-scan of the deck: on the largest row that pays it, d=8 n=6304 (k = 257,
+scan of the deck: on the largest row that pays it, d=8 n=6240 (k = 321,
 one card above the cap below), the whole 6561-turn trace takes about
 3.2 s on a 2-vCPU machine.
 
@@ -70,13 +69,12 @@ t_2 + 3 t_3 = C(k, 2), so the sets on the N - k cards outside B number
 
 and M_d(N - k) = L - k r + C(k, 2) - m_d(k), where m_d(k) is the fewest
 sets on any k-card board.  A pruned row with k = N - n < n therefore
-walks boards of k cards, the same lexicographic walk cut to k cards.
-With symmetry on and k <= 3 its base is the first min(k, 2) of cards 0
-and 1 (the affine group is 2-transitive, so it moves any board of k cards
-onto one holding them).  With symmetry on and k >= 4 its base is cards
-0, 1 and 3, a pair and a card off their line, and its first candidate is
-card 4, so card 2, the third card of 0 and 1, never joins.  Some board
-with the fewest sets lies in that walk:
+walks boards of k cards, the same lexicographic walk cut to k cards,
+unless k fits the cap below, when it walks nothing.  Every cap below
+holds at least 4 cards, so a walked row has k > 4.  With symmetry on its
+base is cards 0, 1 and 3, a pair and a card off their line, and its first
+candidate is card 4, so card 2, the third card of 0 and 1, never joins.
+Some board with the fewest sets lies in that walk:
 
 - No k-card flat (affine subspace) is such a board.  A line through a
   card x outside a flat meets the flat in at most one card, so replacing
@@ -102,50 +100,18 @@ order, as deterministic as a direct row's.  For these rows nodes and
 prunes count the min-walk, and a saved frontier and witness hold its
 k-card boards; the result's witness is their complement.
 
-A near-full row, k <= 2, has m_d(k) = 0, as no board of fewer than three
-cards holds a set.  With symmetry on, or at k = 0, its base already
-holds all k cards, so its plan has no work units: the run walks nothing,
-and its one board, the base, scores the offset with no set.  The row's
-maximum is the offset, its witness the deck less the base, and it counts
-0 nodes.  Without symmetry rows k = 1 and 2 walk, and stop at the target
-below on their first leaf step.
-
-A min-walk row whose k is at most cap(d), the most cards of a cap (a board
-holding no set) in AG(d, 3), aims at its offset and stops there.  Its
-plan's target is the offset, and its floor -1; every other plan's target
-is -1.  cap(d) is 9 for
-d = 3, 20 for d = 4 (Pellegrino, Boll. Un. Mat. Ital. 1970) and 2**d
-otherwise, the cap of the cards whose digits all lie in {0, 1}: three such
-digits sum to 0 mod 3 only when all three are equal, so three distinct
-cards of it are never a set.  Every slice is seeded with at least the
-target, and a walk stops right after the leaf step that raises its best to
-the target.  This keeps the maximum and the witness of the unseeded walk:
-
-- A k-cap exists: k of the 2**d cards above, or, for d = 3 and 4, a cap
-  of the cited size; every row the walk settles exhibits one.
-- The affine group is 2-transitive and preserves set counts, so it moves
-  some k-cap onto one holding the base cards.  For k >= 4, any three
-  cards of a k-cap are non-collinear, so an affine map sends three of
-  them to 0, 1 and 3; the image, a cap, then misses card 2, which
-  completes 0 and 1 to a set.
-- The complement of that cap's walked board scores exactly the offset,
-  and no walked board scores more: the slack is 0 and every gain is at
-  most 0.  So M = offset.
-- Scores never rise along a branch, so pruning below the offset loses no
-  board that reaches it.
-- The walk order is unchanged, so the first walked board reaching the
-  offset is the unseeded walk's witness.
-
-Once a unit reaches the target, the run starts no slice of a later unit;
-earlier units run on until they are exhausted or reach the target.  The
-run is complete when every unit is exhausted, or when some unit has
-reached the target and every unit before it is exhausted, and the merge
-takes the first such unit in card order, whatever the worker count.
+A row whose k is at most the size of _cap(d), a cap (a board holding no
+set) of AG(d, 3), walks nothing, with symmetry on or off.  Its base is
+the cap's first k cards, itself a cap, so its plan has no work units and
+no floor.  The base's complement holds the offset L - k r + C(k, 2) sets,
+as t_3 = 0, and no k-card board's complement holds more, as t_3 >= 0.
+So the row's maximum is the offset, its witness the deck less the base,
+and it counts 0 nodes.
 
 _plan is the one place that decides the walk: board size, base, first
 candidate, score offset, gain step, the slack of each level (a
-candidate is pruned iff its score plus that slack is below the best),
-the floor and the target.
+candidate is pruned iff its score plus that slack is below the best)
+and the floor.
 Every checkpoint records the plan, and a file of another plan is refused.
 The naive engine is the plan whose slack is L at every level.  Its offset
 is 0 and its step 1, so every score is at least 0, while no best (nor a
@@ -180,8 +146,14 @@ CSV_HEADER = ("n", "max_sets", "search_space", "nodes_visited", "elapsed_seconds
 # step end this many nodes past its start.
 _SLICE = 1 << 18
 
-# The most cards of a cap in AG(d, 3) where it is known and above 2**d.
-_CAPS = {3: 9, 4: 20}
+# The one card of AG(0, 3), and caps of AG(3, 3) and AG(4, 3): the
+# complements of the witnesses the min-walk found for d=3 n=18 and d=4
+# n=61.  _cap doubles them into the others.
+_SHIPPED_CAP = {
+    0: (0,),
+    3: (0, 1, 3, 4, 9, 10, 14, 17, 23),
+    4: (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 32, 35, 38, 47, 59, 65, 66, 67, 71, 77),
+}
 
 
 class BudgetExceededError(RuntimeError):
@@ -298,7 +270,6 @@ class _Plan:
     step: int
     slack: tuple[int, ...]
     floor: int
-    target: int
 
     def limit(self, size: int) -> int:
         """The end of the candidate range on a board of `size` cards: the
@@ -308,27 +279,46 @@ class _Plan:
 
 def _plan(config: SearchConfig) -> _Plan:
     """The walk that answers `config`: a pruned row with k = 3**d - n < n
-    walks the k missing cards, every other row its own n cards.  With
-    symmetry on, a pruned walk starts from cards 0 and 1, cut to k cards
-    on a min-walk with k <= 3 and joined by card 3 on one with k >= 4; lo,
-    its first candidate, is the card after the base's last.  A pruned
-    min-walk with k <= cap(d) has its offset as its target, and every
-    other pruned plan the greedy prefix's set count as its floor."""
+    walks the k missing cards, every other row its own n cards.  A
+    min-walk with k <= len(_cap(d)) starts from the cap's first k cards,
+    so it walks nothing and has no floor.  Otherwise, with symmetry on, a
+    pruned walk starts from cards 0 and 1, joined by card 3 on a min-walk;
+    lo, its first candidate, is the card after the base's last.  Every
+    pruned plan that walks has the greedy prefix's set count as its
+    floor."""
     dim, n = config.dim, config.n
     if config.mode == "naive":
-        return _Plan(dim, n, (), 0, 0, 1, (geometry.line_count(dim),) * n, -1, -1)
+        return _Plan(dim, n, (), 0, 0, 1, (geometry.line_count(dim),) * n, -1)
     base = (0, 1) if config.symmetry else ()
     k = 3 ** dim - n
     if k < n:
-        base = base + (3,) if config.symmetry and k >= 4 else base[:k]
+        cap = _cap(dim)
+        if k <= len(cap):
+            base = cap[:k]
+        elif base:
+            base += (3,)
         offset = geometry.line_count(dim) - k * geometry.lines_per_card(dim) + comb(k, 2)
         size, step, slack = k, -1, (0,) * k
-        target = offset if k <= _CAPS.get(dim, 2 ** dim) else -1
     else:
-        size, offset, step, target = n, 0, 1, -1
+        size, offset, step = n, 0, 1
         slack = tuple(bound_remaining(s + 1, n) for s in range(n))
-    floor = _greedy(dim, n)[0] if target < 0 else -1
-    return _Plan(dim, size, base, base[-1] + 1 if base else 0, offset, step, slack, floor, target)
+    floor = _greedy(dim, n)[0] if len(base) < size else -1
+    return _Plan(dim, size, base, base[-1] + 1 if base else 0, offset, step, slack, floor)
+
+
+@lru_cache(maxsize=None)
+def _cap(dim: int) -> tuple[int, ...]:
+    """A cap of AG(dim, 3), a board holding no set, sorted and holding
+    cards 0 and 1 from dim = 1 on: the shipped one, or else C x {0, 1}
+    for C = _cap(dim - 1), the cards of C with a new first digit 0 or 1.
+    That is a cap: the first digits of a set's three cards are all equal
+    or all distinct, {0, 1} holds no three distinct digits, so a set
+    there would lie in one layer, a copy of C.  So dim = 1, 2 give
+    {0, 1}**dim, and dim = 5..8 give 40, 80, 160 and 320 cards."""
+    if dim in _SHIPPED_CAP:
+        return _SHIPPED_CAP[dim]
+    cap = _cap(dim - 1)
+    return cap + tuple(x + 3 ** (dim - 1) for x in cap)
 
 
 def _greedy(dim: int, n: int) -> tuple[int, tuple[int, ...]]:
@@ -395,9 +385,9 @@ def _dfs_segment(
     stop_after_nodes: float = inf,
 ) -> dict:
     """Advance the depth-first walk described by `state` until the subtree is
-    exhausted, its best reaches the plan's target, or its node counter
-    reaches stop_after_nodes, and return `state`: _exhausted and _hit tell
-    which.  The return lets a pool task hand its frontier back.
+    exhausted or its node counter reaches stop_after_nodes, and return
+    `state`: _exhausted tells which.  The return lets a pool task hand its
+    frontier back.
 
     The walk extends `base` with cards in strictly increasing order until
     boards of n cards are reached, where n, base, the score offset, the
@@ -421,10 +411,7 @@ def _dfs_segment(
       replaces (best, witness) only on a strict improvement, so its last
       replacement is at the first candidate reaching the level maximum,
       and it happens iff cnt + max > best.  The step scores the whole
-      level with one max and finds that candidate with gain.index.  The
-      walk stops after a leaf step that leaves best at the target, with
-      the level's next card at its end.  Every score is at least 0, so a
-      leaf step leaves best at 0 or more and a target of -1 never stops it.
+      level with one max and finds that candidate with gain.index.
     - At any other level the step visits no leaf, and best_eff changes
       only when a leaf improves best, so best_eff is constant over the
       step, as are best, cnt and the slacks of the level and its child:
@@ -494,7 +481,7 @@ def _dfs_segment(
     witness = state["witness"]
 
     rows = geometry.third_rows(plan.dim)
-    step, slack_at, target = plan.step, plan.slack, plan.target
+    step, slack_at = plan.step, plan.slack
     # No gain entry rises by more than this in one push.
     rise = max(step, 0)
 
@@ -541,8 +528,6 @@ def _dfs_segment(
                         best_eff = best
                 kept += limit - c
                 c = limit
-                if best == target:
-                    break
         elif c < limit:
             # Candidate x is pruned iff cnt + gain[x] + slack < best_eff.
             floor = best_eff - slack_at[size] - cnt
@@ -687,17 +672,12 @@ def _exhausted(u: int, frontier: dict | None) -> bool:
     return frontier is not None and not frontier["stack"] and frontier["next_card"] == u + 1
 
 
-def _hit(plan: _Plan, frontier: dict | None) -> bool:
-    """Whether `frontier`'s walk has reached the plan's target."""
-    return frontier is not None and frontier["best"] == plan.target >= 0
-
-
 def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: float, complete: bool) -> SearchResult:
     # Deterministic merge: best value over all units, witness from the
     # lexicographically first unit that achieved it.  Strict pruning
     # guarantees every unit that contains a maximum board reports it.  A
     # best that no unit raised above the floor is the floor, with its board.
-    # A plan with no units walks one board, its base, which holds no set.
+    # A plan with no units walks one board, its base, a cap (see _plan).
     units = _units(plan)
     best, witness = (-1, None) if units else (plan.offset, list(plan.base))
     nodes = 0
@@ -733,13 +713,13 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     worker count.  Each round starts slices, in card order with an
     unfinished unit first in line, while fewer than `threads` slices of
     the round are running or have ended: in this process at one worker,
-    as pool tasks above that.  Each slice is seeded with the best so far,
-    and at least the plan's floor + 1 and its target.  A slice end is the
-    run's one pause point: the run keeps the unit's frontier, saves the
-    unit map, in card order, a report_interval after the last save (and at
-    the end), and starts no slice after an interrupt or once its node
-    budget is spent, nor of a unit past the first to reach the target.
-    A save lists every started unit, one whose slice is still running in
+    as pool tasks above that, a pool that starts only if some unit waits.
+    Each slice is seeded with the best so far, and at least the plan's
+    floor + 1.  A slice end is the run's one pause point: the run keeps
+    the unit's frontier, saves the unit map, in card order, a
+    report_interval after the last save (and at the end), and starts no
+    slice after an interrupt or once its node budget is spent.  A save
+    lists every started unit, one whose slice is still running in
     the pool or was cut by a Ctrl-C at the frontier that slice started
     from.
     Before any unit starts, a naive search over its budget is refused with
@@ -765,9 +745,8 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     units = _units(plan)
     frontiers = dict(frontiers or {})
     stop = inf if config.stop_after_nodes is None else config.stop_after_nodes
-    # The seed of every slice: the best so far, or the floor + 1 or the
-    # target if higher.
-    best = max([plan.floor + 1, plan.target] + [f["best"] for f in frontiers.values()])
+    # The seed of every slice: the best so far, or the floor + 1 if higher.
+    best = max([plan.floor + 1] + [f["best"] for f in frontiers.values()])
     spent = sum(f["nodes"] for f in frontiers.values())
     next_report = t0 + config.report_interval
 
@@ -777,12 +756,10 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
         next_report = time.monotonic() + config.report_interval
 
     going = True
-    # The first unit to reach the target; no unit past it starts a slice.
-    hit = min((u for u in units if _hit(plan, frontiers.get(str(u)))), default=inf)
-    waiting = [u for u in reversed(units) if u < hit and not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
+    waiting = [u for u in reversed(units) if not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
     running = {}  # pool task -> (unit, its nodes before the slice)
     pool = None
-    if config.threads > 1:
+    if config.threads > 1 and waiting:
         # Imported at the first pool: concurrent.futures.process pulls in
         # multiprocessing, which a one-worker run never needs.
         from concurrent import futures
@@ -821,10 +798,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                             best = state["best"]
                         spent += state["nodes"] - before
                         going = going and spent < stop
-                        if _hit(plan, state) and u < hit:
-                            hit = u
-                            waiting = [w for w in waiting if w < hit]
-                        elif u < hit and not _exhausted(u, state):
+                        if not _exhausted(u, state):
                             waiting.append(u)  # its next slice goes first
                     if path is not None and time.monotonic() >= next_report:
                         save()
@@ -832,7 +806,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
             except KeyboardInterrupt:
                 going = False
 
-    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units if u < hit)
+    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units)
     if path is not None:
         save()
     return _merge_units(config, plan, frontiers, time.monotonic() - t0, complete)

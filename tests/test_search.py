@@ -46,17 +46,16 @@ def outcome(r):
     return (r.max_sets, list(r.witness.cards), r.nodes_visited, r.configs_pruned)
 
 
-def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, stats=None, at=None, floor=-1,
-                   target=-1):
+def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True, cap=True, stats=None, at=None,
+                   floor=-1):
     """The per-candidate depth-first walk the gain-array engine replaced.
 
     Scores every candidate by a loop over the chosen cards and visits the
     candidates of each level one by one.  A candidate is pruned iff its
-    score plus the bound is below the best so far, below floor + 1 or
-    below the target.  Runs to the end, to the end of the leaf level where
-    best reaches a target of 0 or more (one card on, at the top level), or
-    until `stop_at` nodes are counted, and returns the state the engine
-    saves: the frontier (stack, next_card) and best, witness, nodes, pruned.
+    score plus the bound is below the best so far or below floor + 1.
+    Runs to the end, or until `stop_at` nodes are counted, and returns the
+    state the engine saves: the frontier (stack, next_card) and best,
+    witness, nodes, pruned.
     An `at` dict, keyed by node counts, receives under each key it
     passes the state the walk would return with that stop_at.
     A `stats` dict receives the number of pushes under "pushes", and
@@ -66,19 +65,22 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
     With `dual`, a pruned row with k = 3**dim - n < n is the engine's
     min-walk over k-card boards: the score starts at L - k r + C(k, 2),
     each card subtracts the sets it completes, no bound is added, and the
-    witness is the walked board.  Its base with symmetry is the first
-    min(k, 2) of cards 0 and 1 for k <= 3, and cards 0, 1 and 3 for
-    k >= 4, whose candidates start at card 4; a walk whose base holds all
-    its cards visits nothing, and its best is the base's score, with the
-    base as witness.  Without `dual` every row walks n cards.
+    witness is the walked board.  With `cap`, its base is the first k
+    cards of search._cap(dim) when k is at most its size.  Otherwise its
+    base with symmetry is symmetry_base(k), whose candidates start at the
+    card after its last.  A walk whose base holds all its cards visits
+    nothing, and its best is the base's score, with the base as witness.
+    Without `dual` every row walks n cards.
     """
     deck = 3 ** dim
     k = deck - n
     complement = dual and prune and k < n
     size = k if complement else n
-    base = ([0, 1] if prune and symmetry else [])[:size]
-    if complement and symmetry and size >= 4:
-        base.append(3)
+    base = []
+    if prune and symmetry:
+        base = list(symmetry_base(size) if complement else (0, 1))
+    if complement and cap and k <= len(search._cap(dim)):
+        base = list(search._cap(dim)[:k])
     need = size - len(base)
     rows = third_rows(dim)
     if complement:
@@ -110,10 +112,6 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
             at[nodes] = {"stack": list(stack), "next_card": c, "best": best, "witness": witness,
                          "nodes": nodes, "pruned": pruned}
         limit = deck - (need - len(stack) - 1)
-        # A walk that reaches its target stops at the end of that leaf
-        # level; the engine's work units end the top level after each card.
-        if best == target >= 0 and (c >= limit or not stack):
-            break
         if c >= limit:
             if not stack:
                 break
@@ -130,7 +128,7 @@ def reference_walk(dim, n, *, symmetry=True, prune=True, stop_at=None, dual=True
             if ncnt > best:
                 best, witness = ncnt, chosen + [c]
                 busy[-1] = True
-        elif prune and ncnt + bound[len(chosen) + 1] < max(best, floor + 1, target):
+        elif prune and ncnt + bound[len(chosen) + 1] < max(best, floor + 1):
             pruned += 1
         else:
             pushes += 1
@@ -179,11 +177,12 @@ def plan_floor(dim, n, **kw):
     return search._plan(SearchConfig(dim, n, **kw)).floor
 
 
-def plan_bounds(dim, n, **kw):
-    """The floor and the target of the plan the engine walks for this row,
-    as reference_walk takes them."""
-    plan = search._plan(SearchConfig(dim, n, **kw))
-    return {"floor": plan.floor, "target": plan.target}
+def symmetry_base(k):
+    """The base a min-walk of k cards starts from with symmetry on when k
+    does not fit the cap: cards 0, 1 and 3 for k >= 4, else the first k of
+    cards 0 and 1.  A min-walk row that fits the cap walks from it once
+    set_plan gives it this base and the card after its last as lo."""
+    return (0, 1, 3) if k >= 4 else (0, 1)[:k]
 
 
 def set_plan(monkeypatch, **fields):
@@ -304,8 +303,14 @@ class TestPruned:
         assert r.complete
 
     def test_d2_range_agrees_with_naive(self):
+        # Rows 5..9 fit the 4-card cap of AG(2, 3) and walk nothing, with
+        # symmetry on or off; every witness recounts.
         for n in range(3, 10):
-            assert pruned(2, n).max_sets == naive(2, n).max_sets
+            exact = naive(2, n).max_sets
+            for symmetry in (True, False):
+                r = pruned(2, n, symmetry=symmetry)
+                assert r.max_sets == count_sets_bruteforce(r.witness) == exact
+                assert r.nodes_visited == 0 or n < 5
 
     def test_d3_small_range_agrees_with_naive(self):
         for n in range(3, 8):
@@ -357,7 +362,7 @@ class TestReferenceWalk:
 
     @pytest.mark.parametrize("dim,n", REFERENCE_ROWS)
     def test_pruned_row_matches_reference(self, dim, n):
-        assert outcome(pruned(dim, n)) == reference_outcome(dim, n, **plan_bounds(dim, n))
+        assert outcome(pruned(dim, n)) == reference_outcome(dim, n, floor=plan_floor(dim, n))
 
     @pytest.mark.parametrize("dim,n", COMPLEMENT_ROWS)
     def test_complement_row_matches_max_walk(self, dim, n):
@@ -397,7 +402,7 @@ class TestReferenceWalk:
         assert made < stats["pushes"]
         assert made - (stats["pushes"] - stats["idle"]) < stats["idle"] / 4
 
-    @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11), (3, 18)])
+    @pytest.mark.parametrize("dim,n", [(4, 7), (3, 11), (3, 17)])
     def test_every_check_sees_the_reference_frontier(self, dim, n):
         # Wherever the first unit's walk (the unseeded one) stops, its
         # frontier is the one-by-one walk's at the same node count, once
@@ -459,30 +464,36 @@ class TestFloor:
         for r in (on, off):
             assert r.complete and len(r.witness) == n
             assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        assert outcome(off) == reference_outcome(dim, n, target=plan_bounds(dim, n)["target"])
+        assert outcome(off) == reference_outcome(dim, n)
 
     def test_which_plans_have_a_floor(self):
-        # Every pruned plan, with symmetry on or off, has exactly one lower
-        # bound: the greedy prefix's count as its floor, or its offset as
-        # its target.  The naive plan has neither.
+        # Every pruned plan, with symmetry on or off, walks above the greedy
+        # prefix's count as its floor, or has k missing cards that fit the
+        # cap: then it starts from the cap's first k cards, has no unit and
+        # no floor, and reports its offset.  The naive plan has no floor.
         rows = [(dim, n) for dim in (2, 3, 4) for n in range(3, 3 ** dim + 1)]
-        rows += [(5, n) for n in (3, 121, 122, 150, 210, 211, 240, 241, 243)]
-        rows += [(6, n) for n in (3, 364, 365, 500, 664, 665, 727, 729)]
+        rows += [(5, n) for n in (3, 121, 122, 150, 202, 203, 210, 211, 240, 241, 243)]
+        rows += [(6, n) for n in (3, 364, 365, 500, 648, 649, 664, 665, 727, 729)]
         for dim, n in rows:
             deck = 3 ** dim
             r, k = (deck - 1) // 2, deck - n
             greedy = cmm_run(dim, n).cumulative_at(n)
             offset = deck * r // 3 - k * r + comb(k, 2)
+            cap = search._cap(dim)
             for symmetry in (True, False):
                 plan = search._plan(SearchConfig(dim, n, symmetry=symmetry))
-                assert (plan.floor, plan.target) in ((greedy, -1), (-1, offset)), (dim, n, symmetry)
+                if k < n and k <= len(cap):
+                    assert (plan.floor, plan.base, plan.offset) == (-1, cap[:k], offset), (dim, n, symmetry)
+                    assert search._units(plan) == []
+                else:
+                    assert plan.floor == greedy, (dim, n, symmetry)
             plan = search._plan(SearchConfig(dim, n, mode="naive"))
-            assert (plan.floor, plan.target) == (-1, -1)
+            assert plan.floor == -1
 
     def test_one_greedy_trace_serves_many_rows(self, monkeypatch):
         # A row reads its greedy prefix from a trace of min(3**d, the next
         # power of two >= n) turns, so the plans of d=6 n=365..729 (floors
-        # up to n=664) run two traces, of 512 and 729 turns, not one per row.
+        # up to n=648) run two traces, of 512 and 729 turns, not one per row.
         real, calls = heuristics.cmm_run, []
 
         def cmm_run(dim, upto=None):
@@ -493,7 +504,7 @@ class TestFloor:
         search._trace.cache_clear()
         floors = [search._plan(SearchConfig(6, n)).floor for n in range(365, 730)]
         assert sorted(calls) == [(6, 512), (6, 729)]
-        assert floors[664 - 365] >= 0 and floors[665 - 365] == -1
+        assert floors[648 - 365] >= 0 and floors[649 - 365] == -1
 
     @pytest.mark.parametrize("dim,n", [(3, n) for n in range(4, 13)] + [(4, n) for n in range(4, 10)])
     def test_floor_below_the_maximum_keeps_the_walks_witness(self, dim, n, monkeypatch):
@@ -690,6 +701,22 @@ class TestParallel:
         r = resume_search(path, threads=1)
         assert r.complete and (r.max_sets, r.witness) == (ref.max_sets, ref.witness)
 
+    def test_pool_starts_only_when_a_unit_waits(self, monkeypatch):
+        # d=3 n=20 fits the cap and has no unit to walk, so two workers
+        # start no pool; d=3 n=10 walks and starts exactly one.
+        pools = []
+
+        class Pool(futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                pools.append(self)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+        assert pruned(3, 20, threads=2).nodes_visited == 0
+        assert pools == []
+        assert pruned(3, 10, threads=2).complete
+        assert len(pools) == 1
+
     def test_in_process_file_resumes_in_pool(self, tmp_path, monkeypatch):
         path = tmp_path / "one.ckpt"
         assert not pruned(3, 10, checkpoint_path=str(path), stop_after_nodes=30_000).complete
@@ -710,25 +737,24 @@ class TestParallel:
 
 class TestComplementRows:
     """Rows past half the deck through the pool and checkpoints.  d=3
-    n=14, 17 and 18 walk boards of 13, 10 and 9 missing cards; n=14 and 17
-    have no target, as 13 and 10 cards are more than a cap of AG(3, 3)
-    holds, so they walk in full above their floor."""
+    n=14..17 walk boards of 13..10 missing cards, more than the 9-card cap
+    of AG(3, 3), so they walk in full above their floor."""
 
-    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("n", [16, 17])
     def test_pool_matches_sequential(self, n):
         seq = pruned(3, n)
         par = pruned(3, n, threads=2)
         assert (par.max_sets, par.witness) == (seq.max_sets, seq.witness)
         assert len(par.witness) == n and count_sets_bruteforce(par.witness) == par.max_sets
         if seq.max_sets == plan_floor(3, n):
-            # No board beats the floor (n=17), so no counter depends on
-            # the schedule.
+            # No board beats the floor (n=16 and 17), so no counter depends
+            # on the schedule.
             assert outcome(par) == outcome(seq)
 
     def test_one_worker_pool_counts_as_sequential(self, tmp_path):
         path = tmp_path / "units.ckpt"
-        checkpoint_save(Checkpoint(SearchConfig(3, 18), {}), path)
-        assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 18))
+        checkpoint_save(Checkpoint(SearchConfig(3, 16), {}), path)
+        assert outcome(resume_search(path, threads=1)) == outcome(pruned(3, 16))
 
     def test_stop_and_resume_chain(self, tmp_path):
         ref = pruned(3, 14)
@@ -769,25 +795,25 @@ class TestComplementRows:
             resume_search(path)
 
     def test_version_2_file_refused(self, tmp_path):
-        # A version 2 build walked the 18 cards of this row itself: its
-        # plan, had it recorded one, would have size 18, not 9.
+        # A version 2 build walked the 17 cards of this row itself: its
+        # plan, had it recorded one, would have size 17, not 10.
         path = tmp_path / "v2.ckpt"
-        checkpoint_save(Checkpoint(SearchConfig(3, 18), {}), path)
+        checkpoint_save(Checkpoint(SearchConfig(3, 17), {}), path)
         payload = json.loads(path.read_text())
-        assert payload["plan"]["size"] == 9
-        payload["plan"]["size"] = 18
+        assert payload["plan"]["size"] == 10
+        payload["plan"]["size"] = 17
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="plan; fields that differ: size$"):
             resume_search(path)
 
     def test_file_of_the_two_card_base_refused(self, tmp_path, capsys, monkeypatch):
         # A file an earlier build saved walking d=3 n=15 (k = 12) from cards
-        # 0 and 1 names another plan.  Row 24 (k = 3) walks the same plan
-        # as before, so its file still resumes.
-        for n in (15, 24):
+        # 0 and 1 names another plan.  A file of row 16 (k = 11) saved from
+        # cards 0, 1 and 3, the plan this build walks, still resumes.
+        for n, base in ((15, (0, 1)), (16, (0, 1, 3))):
             path = tmp_path / f"{n}.ckpt"
             with monkeypatch.context() as m:
-                set_plan(m, base=(0, 1), lo=2)
+                set_plan(m, base=base, lo=base[-1] + 1)
                 assert not pruned(3, n, checkpoint_path=str(path), stop_after_nodes=0).complete
             code = cli.main(["search", "--props", "3", "--cards", str(n), "--checkpoint", str(path), "--resume"])
             out, err = capsys.readouterr()
@@ -795,54 +821,85 @@ class TestComplementRows:
                 assert code == cli.EXIT_CHECKPOINT == 5
                 assert err.endswith("plan; fields that differ: base, lo\n")
             else:
-                assert code == 0 and out.splitlines()[0] == "81" and out.splitlines()[-1] == "complete: true"
+                assert code == 0 and out.splitlines()[0] == "26" and out.splitlines()[-1] == "complete: true"
 
 
-# Every row of d=2 and d=3 the engine answers by a min-walk, with its maximum.
+# Every row of d=2 and d=3 the engine answers through its complement, near-full
+# rows (k <= 2) aside, with its maximum.
 MIN_WALK_MAXIMA = {(2, 5): 2, (2, 6): 3}
 MIN_WALK_MAXIMA.update(zip([(3, n) for n in range(14, 25)], [19, 23, 26, 30, 36, 41, 47, 54, 62, 71, 81]))
 MIN_WALK_ROWS = list(MIN_WALK_MAXIMA)
 
 
+def _offset(dim, n):
+    """L - k r + C(k, 2) for k = 3**dim - n: the sets outside a k-card cap."""
+    deck = 3 ** dim
+    r, k = (deck - 1) // 2, deck - n
+    return deck * r // 3 - k * r + comb(k, 2)
+
+
+@pytest.mark.parametrize("dim,size", [(2, 4), (3, 9), (4, 20), (5, 40), (6, 80), (7, 160), (8, 320)])
+def test_cap(dim, size):
+    # Each cap is sorted, starts with cards 0 and 1, and holds no set by
+    # either counter.
+    cap = search._cap(dim)
+    assert len(cap) == size and list(cap) == sorted(set(cap)) and cap[:2] == (0, 1)
+    assert count_sets(Board(dim, cap)) == 0
+    if dim <= 6:
+        assert count_sets_bruteforce(Board(dim, cap)) == 0
+
+
 class TestTarget:
-    """A min-walk row whose k missing cards fit in a cap seeds every slice
-    with its offset and stops at the first walked board that reaches it."""
+    """A row whose k missing cards fit the cap has its target, the offset
+    L - k r + C(k, 2), as its maximum: the cap's first k cards leave it,
+    and no k cards leave more.  The engine reports it with no walk."""
 
     @pytest.mark.parametrize("dim,n", MIN_WALK_ROWS)
     def test_target_on_and_off(self, dim, n, monkeypatch):
-        # The target keeps the maximum and the witness, each witness
-        # recounts, and without it the engine counts as the one-by-one walk
-        # without one, under the plan's floor (rows 14..17 have one).
-        floor = plan_floor(dim, n)
+        # Given the symmetry base instead of the cap, with no floor, a row
+        # that fits the cap walks, finds the same maximum and counts as the
+        # one-by-one walk.  Rows 14..17 do not fit the cap and walk from
+        # that base above their floor, with or without the edit.
+        plan = search._plan(SearchConfig(dim, n))
         on = pruned(dim, n)
-        set_plan(monkeypatch, target=-1)
+        base = symmetry_base(plan.size)
+        set_plan(monkeypatch, base=base, lo=base[-1] + 1)
         off = pruned(dim, n)
-        assert (on.max_sets, on.witness) == (off.max_sets, off.witness)
+        assert on.max_sets == off.max_sets == MIN_WALK_MAXIMA[dim, n]
+        if plan.floor < 0:
+            assert on.nodes_visited == 0 and on.max_sets == _offset(dim, n)
+        else:
+            assert outcome(on) == outcome(off)
         for r in (on, off):
             assert r.complete and len(r.witness) == n
             assert count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        assert outcome(off) == reference_outcome(dim, n, floor=floor)
+        assert outcome(off) == reference_outcome(dim, n, floor=plan.floor, cap=False)
 
-    @pytest.mark.parametrize("n", range(18, 25))
+    @pytest.mark.parametrize("n", range(18, 28))
     def test_target_on_and_off_without_symmetry(self, n, monkeypatch):
         on = pruned(3, n, symmetry=False)
-        set_plan(monkeypatch, target=-1)
+        set_plan(monkeypatch, base=(), lo=0)
         off = pruned(3, n, symmetry=False)
-        assert on.complete and (on.max_sets, on.witness) == (off.max_sets, off.witness)
+        assert on.complete and on.nodes_visited == 0 and off.complete
+        assert on.max_sets == off.max_sets == _offset(3, n)
+        for r in (on, off):
+            assert len(r.witness) == n and count_sets_bruteforce(r.witness) == r.max_sets
 
-    @pytest.mark.parametrize("dim,cap", [(2, 4), (3, 9), (4, 20), (5, 32), (6, 64)])
+    @pytest.mark.parametrize("dim,cap", [(2, 4), (3, 9), (4, 20), (5, 40), (6, 80)])
     def test_which_plans_have_a_target(self, dim, cap):
-        # A pruned min-walk row with k <= cap(d), near-full rows included,
-        # aims at its offset, with symmetry on or off; every other plan has
-        # target -1.
+        # A pruned min-walk row with k <= cap, near-full rows included,
+        # starts from the cap's first k cards with symmetry on or off, so it
+        # has no unit and no floor; every other plan walks.
+        assert len(search._cap(dim)) == cap
         deck = 3 ** dim
         for n in range(deck // 2 + 1, deck + 1):
             k = deck - n
             for symmetry in (True, False):
                 plan = search._plan(SearchConfig(dim, n, symmetry=symmetry))
-                assert plan.target == (plan.offset if k <= cap else -1), (n, symmetry)
-        assert search._plan(SearchConfig(dim, deck - 3, mode="naive")).target == -1
-        assert search._plan(SearchConfig(dim, 3)).target == -1
+                settled = (plan.base, plan.floor, search._units(plan)) == (search._cap(dim)[:k], -1, [])
+                assert settled == (k <= cap), (n, symmetry)
+        for config in (SearchConfig(dim, deck - 3, mode="naive"), SearchConfig(dim, 3)):
+            assert search._units(search._plan(config))
 
     @pytest.mark.parametrize("n", range(61, 82))
     def test_d4_top_row(self, n):
@@ -850,10 +907,28 @@ class TestTarget:
         # and a cap of k <= 20 cards holds no set, so m_4(k) = 0.
         k = 81 - n
         r = pruned(4, n)
-        assert r.complete
+        assert r.complete and r.nodes_visited == 0
         assert r.max_sets == 1080 - 40 * k + comb(k, 2)
         assert len(r.witness) == n and count_sets(r.witness) == r.max_sets
         assert count_sets(Board(4, [x for x in range(81) if x not in r.witness.cards])) == 0
+
+    def test_top_rows_at_every_setting(self, monkeypatch):
+        # Every row of d=4 n=61..81 and d=5 n=203..243 fits the cap: with
+        # symmetry on and off and at one and two workers it reports its
+        # offset, complete, with no walk and no pool, and the complement of
+        # its witness holds no set.
+        def no_pool(*args, **kw):
+            raise AssertionError("a run with no unit to walk started a pool")
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+        for dim, rows in ((4, range(61, 82)), (5, range(203, 244))):
+            for n in rows:
+                for symmetry, threads in product((True, False), (1, 2)):
+                    r = pruned(dim, n, symmetry=symmetry, threads=threads)
+                    assert (r.max_sets, r.nodes_visited, r.complete) == (_offset(dim, n), 0, True), (dim, n)
+                    held = set(r.witness.cards)
+                    missing = [x for x in range(3 ** dim) if x not in held]
+                    assert len(missing) == 3 ** dim - n and count_sets(Board(dim, missing)) == 0
 
     def test_pool_gives_the_one_worker_witness(self):
         seq = pruned(4, 62)
@@ -861,14 +936,12 @@ class TestTarget:
         assert par.complete and (par.max_sets, par.witness) == (seq.max_sets, seq.witness)
 
     def test_resume_of_a_file_at_the_target_returns_at_once(self, tmp_path, monkeypatch):
-        # One worker saves the units up to the first to reach the target and
-        # no later one; resuming the file walks nothing.
+        # A row that fits the cap saves no unit, and resuming its file walks
+        # nothing.
         path = tmp_path / "cap.ckpt"
         ref = pruned(4, 70, checkpoint_path=str(path))
-        target = search._plan(SearchConfig(4, 70)).target
-        units = checkpoint_load(path).units
-        assert ref.complete and ref.max_sets == target
-        assert [u for u, f in units.items() if f["best"] == target] == [max(units, key=int)]
+        assert ref.complete and ref.max_sets == _offset(4, 70)
+        assert checkpoint_load(path).units == {}
 
         def no_walk(*args, **kw):
             raise AssertionError("a unit started")
@@ -878,35 +951,58 @@ class TestTarget:
             again = resume_search(path, threads=threads)
             assert again.complete and outcome(again) == outcome(ref)
 
+    def test_file_of_the_previous_build_refused(self, tmp_path, capsys):
+        # The previous build recorded a target in every plan: -1 on a row
+        # that walks, and on a row that fits the cap its offset, which it
+        # walked to from the symmetry base.  Both files are refused, naming
+        # the fields that differ.
+        for n, old, differ in (
+            (10, {"target": -1}, "target"),
+            (20, {"base": [0, 1, 3], "lo": 4, "target": _offset(3, 20)}, "base, lo, target"),
+        ):
+            path = tmp_path / f"{n}.ckpt"
+            checkpoint_save(Checkpoint(SearchConfig(3, n), {}), path)
+            payload = json.loads(path.read_text())
+            payload["plan"].update(old)
+            path.write_text(json.dumps(payload))
+            code = cli.main(["search", "--props", "3", "--cards", str(n), "--checkpoint", str(path), "--resume"])
+            assert code == cli.EXIT_CHECKPOINT == 5
+            assert capsys.readouterr().err.endswith(f"plan; fields that differ: {differ}\n")
+
 
 class TestLowerBounds:
     """Every on/off combination of the reductions a min-walk stacks, the
-    base 0, 1, 3 (with symmetry on and k >= 4), the floor and the target,
-    keeps each row's maximum, and each witness recounts."""
+    base 0, 1, 3 (with symmetry on) and the floor, keeps each row's
+    maximum, as does the target: a row whose missing cards fit the cap is
+    settled at its offset with no walk.  Each witness recounts."""
 
     @pytest.mark.parametrize("dim,n", MIN_WALK_ROWS)
     def test_floor_and_target_on_and_off(self, dim, n, monkeypatch):
-        # Rows 14..17 have no target to switch on, and on rows with k = 3
-        # the base 0, 1, 3 is the whole walked board.
+        # The engine's own plan is one of the runs: the cap's first k cards
+        # with no floor on rows that fit it, else the base 0, 1, 3 above the
+        # floor.  On rows with k = 3 the base 0, 1, 3 is the whole walked
+        # board.
         plan = search._plan(SearchConfig(dim, n))
-        own = (0, 1, 3) if plan.size >= 4 else (0, 1)[:plan.size]
+        fits = plan.size <= len(search._cap(dim))
+        own = search._cap(dim)[:plan.size] if fits else (0, 1, 3)
         assert (plan.base, plan.lo) == (own, own[-1] + 1)
         greedy = cmm_run(dim, n).cumulative_at(n)
-        runs = {}
-        for base, floor, target in product([(0, 1, 3), (0, 1)], {greedy, -1}, {plan.target, -1}):
+        runs = {(plan.base, plan.floor): pruned(dim, n)}
+        for base, floor in product([(0, 1, 3), (0, 1)], {greedy, -1}):
             with monkeypatch.context() as m:
-                set_plan(m, base=base, lo=base[-1] + 1, floor=floor, target=target)
-                runs[base, floor, target] = pruned(dim, n)
+                set_plan(m, base=base, lo=base[-1] + 1, floor=floor)
+                runs[base, floor] = pruned(dim, n)
         for key, r in runs.items():
             assert r.complete and r.max_sets == MIN_WALK_MAXIMA[dim, n], key
             assert len(r.witness) == n and count_sets(r.witness) == count_sets_bruteforce(r.witness) == r.max_sets
-        if plan.target >= 0:
-            # Rows 15..17 meet the reference walk without a floor below.
-            assert outcome(runs[plan.base, -1, -1]) == reference_outcome(dim, n)
+        if fits:
+            assert runs[plan.base, -1].nodes_visited == 0
+            walked = symmetry_base(plan.size)
+            assert outcome(runs[walked, -1]) == reference_outcome(dim, n, cap=False)
 
     @pytest.mark.parametrize("n", [15, 16, 17])
     def test_floor_on_and_off_above_the_cap(self, n, monkeypatch):
-        # These rows have no target.  The greedy board reaches their
+        # These rows do not fit the cap.  The greedy board reaches their
         # maximum, so with the floor the walk finds nothing above it and
         # the witness is the greedy board; without it the engine counts as
         # the one-by-one walk without one.
@@ -925,7 +1021,7 @@ class TestLowerBounds:
 
 def _parent_plan(dim, n, symmetry):
     """The plan an earlier build recorded for a near-full row: a max-walk
-    over the row's own n cards, with neither floor nor target."""
+    over the row's own n cards, with no floor and a target of -1."""
     base = [0, 1] if symmetry else []
     slack = [bound_remaining(size + 1, n) for size in range(n)]
     return {"dim": dim, "size": n, "base": base, "lo": len(base), "offset": 0, "step": 1, "slack": slack,
@@ -933,34 +1029,35 @@ def _parent_plan(dim, n, symmetry):
 
 
 class TestNearFullRows:
-    """Rows with k = 3**d - n <= 2 missing cards: a board of fewer than
-    three cards holds no set, so M_d(n) = L - k r + C(k, 2), which the
-    base alone shows with symmetry on."""
+    """Rows with k = 3**d - n <= 2 missing cards fit every cap, so they
+    report M_d(n) = L - k r + C(k, 2) with no walk, with symmetry on or
+    off."""
 
     @pytest.mark.parametrize("symmetry", [True, False])
     @pytest.mark.parametrize("dim,k", [(dim, k) for dim in range(2, 7) for k in (0, 1, 2)])
     def test_row(self, dim, k, symmetry, tmp_path, capsys):
         deck = 3 ** dim
-        n, r = deck - k, (deck - 1) // 2
+        n = deck - k
         res = pruned(dim, n, symmetry=symmetry)
-        assert res.complete and res.max_sets == deck * r // 3 - k * r + comb(k, 2)
+        assert res.complete and res.max_sets == _offset(dim, n) and res.nodes_visited == 0
         assert len(res.witness) == n and count_sets(res.witness) == res.max_sets
         if n <= 27:
             assert count_sets_bruteforce(res.witness) == res.max_sets
-            bounds = plan_bounds(dim, n, symmetry=symmetry)
-            assert outcome(res) == reference_outcome(dim, n, symmetry=symmetry, **bounds)
-        if symmetry:
-            assert res.nodes_visited == 0
+            # The walk without the cap finds the same first board.
+            ref = reference_outcome(dim, n, symmetry=symmetry, cap=False)
+            assert outcome(res)[:2] == ref[:2]
         # A checkpoint of the row round-trips.
         path = tmp_path / "row.ckpt"
         assert outcome(pruned(dim, n, symmetry=symmetry, checkpoint_path=str(path))) == outcome(res)
         assert checkpoint_load(path).config == SearchConfig(dim, n, symmetry=symmetry)
         assert outcome(resume_search(path)) == outcome(res)
         # A file the earlier max-walk of the row wrote names another plan.
+        # Its base differs unless it is the row's first k of cards 0 and 1.
         payload = json.loads(path.read_text())
         payload.update(plan=_parent_plan(dim, n, symmetry), units={})
         path.write_text(json.dumps(payload))
-        differ = ["offset", "size", "slack", "step", "target"] + (["base", "lo"] if symmetry and k < 2 else [])
+        moved = k < 2 if symmetry else k > 0
+        differ = ["offset", "size", "slack", "step", "target"] + (["base", "lo"] if moved else [])
         argv = ["search", "--props", str(dim), "--cards", str(n), "--checkpoint", str(path), "--resume"]
         assert cli.main(argv + ([] if symmetry else ["--no-symmetry"])) == cli.EXIT_CHECKPOINT == 5
         assert f"plan; fields that differ: {', '.join(sorted(differ))}\n" in capsys.readouterr().err
@@ -1214,8 +1311,8 @@ class TestCheckpoint:
         # to back.  A slice is seeded with the floor + 1 or the best of every
         # slice before it, whichever is higher, and stops a slice's worth of
         # nodes past its start, or where the run's budget runs out if sooner.
-        # No board of d=3 n=12 beats its floor; d=3 n=14 is a min-walk with
-        # no target, and its budget ends inside its sixth unit.
+        # No board of d=3 n=12 beats its floor; d=3 n=14 is a min-walk above
+        # the cap, and its budget ends inside its sixth unit.
         if budget == "sixth-unit":
             budget = _budget_inside_unit(3, n, 5)
         monkeypatch.setattr(search, "_SLICE", 4096)
@@ -1326,7 +1423,7 @@ def _budget_inside_unit(dim, n, index):
     its unit `index` (0 for the first): the row's units walked once, in
     card order, each seeded as a one-worker run seeds it."""
     plan = search._plan(SearchConfig(dim, n))
-    best, spent = max(plan.floor + 1, plan.target), 0
+    best, spent = plan.floor + 1, 0
     for u in search._units(plan)[:index + 1]:
         state = search._dfs_segment(plan, search._fresh_state(u), u, seed_best=best)
         best = max(best, state["best"])
@@ -1513,7 +1610,7 @@ class TestUnitsCheckpointValidation:
         path = _units_checkpoint(tmp_path, {"2": UNIT_2})
         assert resume_search(path, threads=2).complete
 
-    @pytest.mark.parametrize("dim,n,mode", [(3, 10, "pruned"), (3, 18, "pruned"), (4, 7, "pruned"), (3, 6, "naive")])
+    @pytest.mark.parametrize("dim,n,mode", [(3, 10, "pruned"), (3, 17, "pruned"), (4, 7, "pruned"), (3, 6, "naive")])
     def test_every_frontier_of_the_walk_accepted(self, dim, n, mode):
         # Every frontier a unit's walk leaves passes the check: fresh, at
         # each stop and at the end, for every unit of the row, each seeded
