@@ -73,7 +73,7 @@ walks boards of k cards, the same lexicographic walk cut to k cards,
 unless k fits the cap below, when it walks nothing.  Every cap below
 holds at least 4 cards, so a walked row has k > 4.  With symmetry on its
 base is cards 0, 1 and 3, a pair and a card off their line, and its first
-candidate is card 4, so card 2, the third card of 0 and 1, never joins.
+work unit is card 4, so card 2, the third card of 0 and 1, never joins.
 Some board with the fewest sets lies in that walk:
 
 - No k-card flat (affine subspace) is such a board.  A line through a
@@ -108,11 +108,11 @@ as t_3 = 0, and no k-card board's complement holds more, as t_3 >= 0.
 So the row's maximum is the offset, its witness the deck less the base,
 and it counts 0 nodes.
 
-_plan is the one place that decides the walk: board size, base, first
-candidate, score offset, gain step, the slack of each level (a
-candidate is pruned iff its score plus that slack is below the best)
-and the floor.
-Every checkpoint records the plan, and a file of another plan is refused.
+_plan is the one place that decides the walk: board size, base, score
+offset, gain step, the slack of each level (a candidate is pruned iff
+its score plus that slack is below the best) and the floor, from which
+_units derives the work units.  Every checkpoint records the plan, and a
+file of another plan is refused.
 The naive engine is the plan whose slack is L at every level.  Its offset
 is 0 and its step 1, so every score is at least 0, while no best (nor a
 seed from another unit) exceeds the L lines of the deck: nothing is
@@ -135,7 +135,7 @@ from math import comb, inf
 from . import geometry, heuristics
 from .counting import Board, add_to_gain, count_sets
 
-DEFAULT_NAIVE_BUDGET = 10 ** 10  # triple-checks; roughly a day of CPU
+DEFAULT_NAIVE_BUDGET = 10 ** 10  # in search_space's triple-checks, not nodes
 
 CHECKPOINT_FORMAT = "setmax-checkpoint"
 CHECKPOINT_VERSION = 5
@@ -218,7 +218,7 @@ _SEARCH_FIELDS = ("dim", "n", "mode", "symmetry")
 @dataclass
 class Checkpoint:
     config: SearchConfig  # the file holds its _SEARCH_FIELDS, not its run settings
-    units: dict  # str(u) -> the frontier of work unit u's walk
+    units: dict  # u -> the frontier of work unit u's walk
 
 
 def bound_remaining(current_size: int, target_n: int) -> int:
@@ -257,15 +257,11 @@ _FRONTIER_KEYS = tuple(_fresh_state(0))
 
 @dataclass(frozen=True)
 class _Plan:
-    """The walk of a search, as _plan decides it (see the module docstring).
-    lo is the first candidate of the top level, the card after the base's
-    last (0 with no base): a card below it outside the base, such as card
-    2 of the base (0, 1, 3), never joins a board."""
+    """The walk of a search, as _plan decides it (see the module docstring)."""
 
     dim: int
     size: int
     base: tuple[int, ...]
-    lo: int
     offset: int
     step: int
     slack: tuple[int, ...]
@@ -282,13 +278,12 @@ def _plan(config: SearchConfig) -> _Plan:
     walks the k missing cards, every other row its own n cards.  A
     min-walk with k <= len(_cap(d)) starts from the cap's first k cards,
     so it walks nothing and has no floor.  Otherwise, with symmetry on, a
-    pruned walk starts from cards 0 and 1, joined by card 3 on a min-walk;
-    lo, its first candidate, is the card after the base's last.  Every
-    pruned plan that walks has the greedy prefix's set count as its
+    pruned walk starts from cards 0 and 1, joined by card 3 on a min-walk.
+    Every pruned plan that walks has the greedy prefix's set count as its
     floor."""
     dim, n = config.dim, config.n
     if config.mode == "naive":
-        return _Plan(dim, n, (), 0, 0, 1, (geometry.line_count(dim),) * n, -1)
+        return _Plan(dim, n, (), 0, 1, (geometry.line_count(dim),) * n, -1)
     base = (0, 1) if config.symmetry else ()
     k = 3 ** dim - n
     if k < n:
@@ -303,7 +298,7 @@ def _plan(config: SearchConfig) -> _Plan:
         size, offset, step = n, 0, 1
         slack = tuple(bound_remaining(s + 1, n) for s in range(n))
     floor = _greedy(dim, n)[0] if len(base) < size else -1
-    return _Plan(dim, size, base, base[-1] + 1 if base else 0, offset, step, slack, floor)
+    return _Plan(dim, size, base, offset, step, slack, floor)
 
 
 @lru_cache(maxsize=None)
@@ -601,7 +596,7 @@ def checkpoint_save(cp: Checkpoint, path) -> None:
         "version": CHECKPOINT_VERSION,
         "config": {k: getattr(cp.config, k) for k in _SEARCH_FIELDS},
         "plan": asdict(_plan(cp.config)),
-        "units": cp.units,
+        "units": {str(u): f for u, f in cp.units.items()},
     }
     tmp = f"{path}.tmp"
     try:
@@ -655,16 +650,18 @@ def checkpoint_load(path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint {path} was written by another walk plan; fields that differ: {', '.join(differ)}"
         )
-    _check_units(plan, units)
-    return Checkpoint(config, units)
+    return Checkpoint(config, _check_units(plan, units))
 
 
 def _units(plan: _Plan) -> list[int]:
     """The top-level cards that split the walk into work units: none when
-    the base already holds all plan.size cards."""
+    the base already holds all plan.size cards, else every card from the
+    one after the base's last (0 with no base) up to the top level's limit.
+    A card below the first unit outside the base, such as card 2 of the
+    base (0, 1, 3), never joins a board."""
     if len(plan.base) == plan.size:
         return []
-    return list(range(plan.lo, plan.limit(len(plan.base))))
+    return list(range(plan.base[-1] + 1 if plan.base else 0, plan.limit(len(plan.base))))
 
 
 def _exhausted(u: int, frontier: dict | None) -> bool:
@@ -678,14 +675,10 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
     # guarantees every unit that contains a maximum board reports it.  A
     # best that no unit raised above the floor is the floor, with its board.
     # A plan with no units walks one board, its base, a cap (see _plan).
-    units = _units(plan)
-    best, witness = (-1, None) if units else (plan.offset, list(plan.base))
+    best, witness = (-1, None) if _units(plan) else (plan.offset, list(plan.base))
     nodes = 0
     pruned = 0
-    for u in units:
-        f = frontiers.get(str(u))
-        if f is None:
-            continue
+    for _, f in sorted(frontiers.items()):
         nodes += f["nodes"]
         pruned += f["pruned"]
         if f["best"] > best:
@@ -708,7 +701,7 @@ def _merge_units(config: SearchConfig, plan: _Plan, frontiers: dict, elapsed: fl
 
 def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
     """Walk every work unit on from its frontier in `frontiers` (keyed by
-    str(u); a unit not there starts afresh) and merge the units.  A unit
+    unit; a unit not there starts afresh) and merge the units.  A unit
     walks in slices of _SLICE nodes, and one slice loop serves every
     worker count.  Each round starts slices, in card order with an
     unfinished unit first in line, while fewer than `threads` slices of
@@ -752,11 +745,11 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
 
     def save():
         nonlocal next_report
-        checkpoint_save(Checkpoint(config, {str(u): frontiers[str(u)] for u in units if str(u) in frontiers}), path)
+        checkpoint_save(Checkpoint(config, dict(sorted(frontiers.items()))), path)
         next_report = time.monotonic() + config.report_interval
 
     going = True
-    waiting = [u for u in reversed(units) if not _exhausted(u, frontiers.get(str(u)))]  # the next unit last
+    waiting = [u for u in reversed(units) if not _exhausted(u, frontiers.get(u))]  # the next unit last
     running = {}  # pool task -> (unit, its nodes before the slice)
     pool = None
     if config.threads > 1 and waiting:
@@ -780,7 +773,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                     ended = []
                     while going and waiting and len(running) + len(ended) < config.threads:
                         u = waiting.pop()
-                        state = frontiers.setdefault(str(u), _fresh_state(u))
+                        state = frontiers.setdefault(u, _fresh_state(u))
                         before = state["nodes"]
                         cap = before + min(_SLICE, stop - spent)
                         if pool is None:
@@ -793,7 +786,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
                         ready, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
                         ended += [(*running.pop(task), task.result()) for task in ready]
                     for u, before, state in ended:
-                        frontiers[str(u)] = state
+                        frontiers[u] = state
                         if state["best"] > best:
                             best = state["best"]
                         spent += state["nodes"] - before
@@ -806,7 +799,7 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
             except KeyboardInterrupt:
                 going = False
 
-    complete = all(_exhausted(u, frontiers.get(str(u))) for u in units)
+    complete = all(_exhausted(u, frontiers.get(u)) for u in units)
     if path is not None:
         save()
     return _merge_units(config, plan, frontiers, time.monotonic() - t0, complete)
@@ -815,9 +808,13 @@ def _run(config: SearchConfig, frontiers: dict | None = None) -> SearchResult:
 def max_sets_naive(config: SearchConfig) -> SearchResult:
     """Exact maximum by enumerating every n-card board in lexicographic order.
 
-    It runs as every search does, under the plan that prunes nothing; it and
-    its resumes refuse instances whose estimated triple-check count exceeds
-    the budget.  The witness is the lexicographically first maximizer.
+    It runs as every search does, under the plan that prunes nothing, and
+    visits exactly C(3**d + 1, n) - 1 nodes: level s holds the
+    C(3**d - n + s, s) prefixes of s cards that leave room for the rest,
+    and the hockey-stick identity sums them over s = 1..n.  It and its
+    resumes refuse instances whose search_space, the triple-check model
+    and not that count, exceeds the budget.  The witness is the
+    lexicographically first maximizer.
     """
     if config.mode != "naive":
         raise ValueError("max_sets_naive requires mode='naive'")
@@ -849,7 +846,7 @@ def _off_path(plan: _Plan, u: int, path: list[int], reach: bool) -> str | None:
     This one rule implies each narrower check on a frontier:
 
     - each card is at least the one before it plus 1, so a path increases;
-    - so a witness's cards are distinct (the path starts at u >= plan.lo,
+    - so a witness's cards are distinct (the path starts at u, a work unit,
       above the base) and lie in the deck (no level ends past
       plan.limit(plan.size - 1) = 3**d);
     - the top level is [u, u + 1), so a stack starts at u, and an empty
@@ -865,9 +862,10 @@ def _off_path(plan: _Plan, u: int, path: list[int], reach: bool) -> str | None:
     return None
 
 
-def _check_units(plan: _Plan, units) -> None:
-    """Reject a unit map the run could not have saved: each key must name a
-    work unit u of this search and hold a frontier of u's walk, the
+def _check_units(plan: _Plan, units) -> dict:
+    """A file's unit map keyed by int, or CheckpointError if the run could
+    not have saved it: each key must spell a work unit u of this search as
+    checkpoint_save does and hold a frontier of u's walk, the
     _FRONTIER_KEYS alone.  Its stack holds no leaf card and, followed by its
     next card, is a path of u's walk (see _off_path); its witness is none,
     or plan.size cards: the base, then a path of u's walk.  Its best is the
@@ -879,7 +877,7 @@ def _check_units(plan: _Plan, units) -> None:
     """
     if not isinstance(units, dict):
         raise CheckpointError(f"checkpoint units {units!r} is not a mapping of units")
-    names = {str(u) for u in _units(plan)}
+    names = {str(u): u for u in _units(plan)}
     top = len(plan.base)
     for key, state in units.items():
         if key not in names:
@@ -891,7 +889,7 @@ def _check_units(plan: _Plan, units) -> None:
                 raise CheckpointError(f"checkpoint unit {key} is missing field {field!r}")
         if extra := sorted(state.keys() - set(_FRONTIER_KEYS)):
             raise CheckpointError(f"checkpoint unit {key} holds fields beyond a frontier: {', '.join(extra)}")
-        u = int(key)
+        u = names[key]
         stack, c = state["stack"], state["next_card"]
         if not isinstance(stack, list) or len(stack) >= plan.size - top:
             raise CheckpointError(f"checkpoint unit {u} stack {stack!r} is no list of under {plan.size - top} cards")
@@ -917,6 +915,7 @@ def _check_units(plan: _Plan, units) -> None:
         score = -1 if witness is None else plan.offset + plan.step * count_sets(Board(plan.dim, witness))
         if state["best"] != score:
             raise CheckpointError(f"checkpoint unit {u} has best {state['best']}, but its witness scores {score}")
+    return {names[key]: state for key, state in units.items()}
 
 
 def resume_search(checkpoint_path, **run) -> SearchResult:

@@ -181,7 +181,7 @@ def symmetry_base(k):
     """The base a min-walk of k cards starts from with symmetry on when k
     does not fit the cap: cards 0, 1 and 3 for k >= 4, else the first k of
     cards 0 and 1.  A min-walk row that fits the cap walks from it once
-    set_plan gives it this base and the card after its last as lo."""
+    set_plan gives it this base."""
     return (0, 1, 3) if k >= 4 else (0, 1)[:k]
 
 
@@ -284,6 +284,15 @@ class TestNaive:
             naive(4, 7)
         assert err.value.estimate == search_space(4, 7)
         assert "e+" in str(err.value) or str(err.value.estimate) in str(err.value)
+
+    @pytest.mark.parametrize("dim,n", [(2, n) for n in range(3, 10)] + [(3, n) for n in range(3, 6)])
+    def test_walk_visits_the_closed_form(self, dim, n):
+        # Level s holds the C(3**d - n + s, s) prefixes of s cards that leave
+        # room for the rest, and the hockey-stick identity sums them over
+        # s = 1..n: the skips of the naive walk count every node it passes.
+        r = naive(dim, n)
+        assert r.complete and r.configs_pruned == 0
+        assert r.nodes_visited == sum(comb(3 ** dim - n + s, s) for s in range(1, n + 1)) == comb(3 ** dim + 1, n) - 1
 
     def test_search_space_matches_cost_model(self):
         from math import comb
@@ -412,7 +421,7 @@ class TestReferenceWalk:
         # A walk asked to stop 1024 nodes on stops at the first step end
         # past that, and is compared at every such stop.
         plan = search._plan(SearchConfig(dim, n))
-        u = plan.lo
+        u = search._units(plan)[0]
         state = search._fresh_state(u)
         seen = []
         while True:
@@ -571,14 +580,14 @@ class TestResumeInsideBlocks:
             # back as the seed.
             st.update(best=-1, witness=None)
         units = {}
-        for u in range(plan.lo, unit):
+        for u in range(search._units(plan)[0], unit):
             seed = max([plan.floor + 1] + [f["best"] for f in units.values()])
-            units[str(u)] = search._fresh_state(u)
-            search._dfs_segment(plan, units[str(u)], u, seed_best=seed)
-            assert search._exhausted(u, units[str(u)])
+            units[u] = search._fresh_state(u)
+            search._dfs_segment(plan, units[u], u, seed_best=seed)
+            assert search._exhausted(u, units[u])
         for key in ("nodes", "pruned"):
             st[key] -= sum(f[key] for f in units.values())
-        units[str(unit)] = st
+        units[unit] = st
         path = tmp_path / "mid.ckpt"
         checkpoint_save(Checkpoint(SearchConfig(3, 12), units), path)
         assert outcome(resume_search(path)) == outcome(pruned(3, 12))
@@ -682,7 +691,7 @@ class TestParallel:
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped the run")
         assert not r.complete
-        assert sorted(checkpoint_load(path).units) == ["2", "3"]
+        assert sorted(checkpoint_load(path).units) == [2, 3]
         monkeypatch.undo()
         ref = pruned(3, 12)
         assert ref.max_sets == plan_floor(3, 12)
@@ -813,13 +822,13 @@ class TestComplementRows:
         for n, base in ((15, (0, 1)), (16, (0, 1, 3))):
             path = tmp_path / f"{n}.ckpt"
             with monkeypatch.context() as m:
-                set_plan(m, base=base, lo=base[-1] + 1)
+                set_plan(m, base=base)
                 assert not pruned(3, n, checkpoint_path=str(path), stop_after_nodes=0).complete
             code = cli.main(["search", "--props", "3", "--cards", str(n), "--checkpoint", str(path), "--resume"])
             out, err = capsys.readouterr()
             if n == 15:
                 assert code == cli.EXIT_CHECKPOINT == 5
-                assert err.endswith("plan; fields that differ: base, lo\n")
+                assert err.endswith("plan; fields that differ: base\n")
             else:
                 assert code == 0 and out.splitlines()[0] == "26" and out.splitlines()[-1] == "complete: true"
 
@@ -863,7 +872,7 @@ class TestTarget:
         plan = search._plan(SearchConfig(dim, n))
         on = pruned(dim, n)
         base = symmetry_base(plan.size)
-        set_plan(monkeypatch, base=base, lo=base[-1] + 1)
+        set_plan(monkeypatch, base=base)
         off = pruned(dim, n)
         assert on.max_sets == off.max_sets == MIN_WALK_MAXIMA[dim, n]
         if plan.floor < 0:
@@ -878,7 +887,7 @@ class TestTarget:
     @pytest.mark.parametrize("n", range(18, 28))
     def test_target_on_and_off_without_symmetry(self, n, monkeypatch):
         on = pruned(3, n, symmetry=False)
-        set_plan(monkeypatch, base=(), lo=0)
+        set_plan(monkeypatch, base=())
         off = pruned(3, n, symmetry=False)
         assert on.complete and on.nodes_visited == 0 and off.complete
         assert on.max_sets == off.max_sets == _offset(3, n)
@@ -985,12 +994,13 @@ class TestLowerBounds:
         plan = search._plan(SearchConfig(dim, n))
         fits = plan.size <= len(search._cap(dim))
         own = search._cap(dim)[:plan.size] if fits else (0, 1, 3)
-        assert (plan.base, plan.lo) == (own, own[-1] + 1)
+        assert plan.base == own
+        assert search._units(plan) == ([] if fits else list(range(own[-1] + 1, plan.limit(len(own)))))
         greedy = cmm_run(dim, n).cumulative_at(n)
         runs = {(plan.base, plan.floor): pruned(dim, n)}
         for base, floor in product([(0, 1, 3), (0, 1)], {greedy, -1}):
             with monkeypatch.context() as m:
-                set_plan(m, base=base, lo=base[-1] + 1, floor=floor)
+                set_plan(m, base=base, floor=floor)
                 runs[base, floor] = pruned(dim, n)
         for key, r in runs.items():
             assert r.complete and r.max_sets == MIN_WALK_MAXIMA[dim, n], key
@@ -1057,7 +1067,7 @@ class TestNearFullRows:
         payload.update(plan=_parent_plan(dim, n, symmetry), units={})
         path.write_text(json.dumps(payload))
         moved = k < 2 if symmetry else k > 0
-        differ = ["offset", "size", "slack", "step", "target"] + (["base", "lo"] if moved else [])
+        differ = ["lo", "offset", "size", "slack", "step", "target"] + (["base"] if moved else [])
         argv = ["search", "--props", str(dim), "--cards", str(n), "--checkpoint", str(path), "--resume"]
         assert cli.main(argv + ([] if symmetry else ["--no-symmetry"])) == cli.EXIT_CHECKPOINT == 5
         assert f"plan; fields that differ: {', '.join(sorted(differ))}\n" in capsys.readouterr().err
@@ -1248,13 +1258,28 @@ class TestCheckpoint:
         plan = search._plan(SearchConfig(3, 10))
         units = {}
         for u in (3, 2):
-            units[str(u)] = search._fresh_state(u)
-            search._dfs_segment(plan, units[str(u)], u, seed_best=-1)
+            units[u] = search._fresh_state(u)
+            search._dfs_segment(plan, units[u], u, seed_best=-1)
         path = _units_checkpoint(tmp_path, units)
         assert list(json.loads(path.read_text())["units"]) == ["3", "2"]
         assert not resume_search(path, stop_after_nodes=30_000).complete
         saved = list(json.loads(path.read_text())["units"])
         assert len(saved) > 2 and saved == sorted(saved, key=int)
+
+    def test_card_order_past_unit_9(self, tmp_path):
+        # d=3 n=5 has units 2..24, and no board beats its floor, so every
+        # slice prunes against the floor + 1 and the file does not depend on
+        # scheduling.  One worker and two save the keys in numeric order,
+        # where a string sort would put "10" before "2".
+        files = []
+        for threads in (1, 2):
+            path = tmp_path / f"{threads}.ckpt"
+            r = pruned(3, 5, threads=threads, checkpoint_path=str(path))
+            assert r.complete and r.max_sets == plan_floor(3, 5)
+            assert list(json.loads(path.read_text())["units"]) == [str(u) for u in range(2, 25)]
+            assert sorted(checkpoint_load(path).units) == list(range(2, 25))
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     def test_restated_search_resumes(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -1455,7 +1480,7 @@ def _tick_and_record_saves(monkeypatch):
 def _every_unit_exhausted(path):
     cp = checkpoint_load(path)
     units = search._units(search._plan(cp.config))
-    return sorted(map(int, cp.units)) == units and all(search._exhausted(u, cp.units[str(u)]) for u in units)
+    return sorted(cp.units) == units and all(search._exhausted(u, cp.units[u]) for u in units)
 
 
 def _edited_checkpoint(tmp_path, edit):
@@ -1491,7 +1516,7 @@ def _edited_file(tmp_path, edit):
     """A d=3 n=10 checkpoint whose unit 2 has not begun, with `edit` applied
     to the file."""
     path = tmp_path / "edited.ckpt"
-    checkpoint_save(Checkpoint(SearchConfig(3, 10), {"2": search._fresh_state(2)}), path)
+    checkpoint_save(Checkpoint(SearchConfig(3, 10), {2: search._fresh_state(2)}), path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -1519,8 +1544,10 @@ BAD_FILES = {
     # min-walk has no floor, and starts from cards 0, 1 and 3.
     "plan walks the n cards of a complement row": (
         lambda p: (p["config"].update(n=18), p["plan"].update(size=18)),
-        "plan; fields that differ: base, floor, lo, offset, size, slack, step",
+        "plan; fields that differ: base, floor, offset, size, slack, step",
     ),
+    # The previous build recorded the first work unit as `lo`.
+    "plan of the previous build": (lambda p: p["plan"].update(lo=2), "plan; fields that differ: lo"),
     # A build before the floor recorded none.
     "plan without a floor": (lambda p: p["plan"].pop("floor"), "plan; fields that differ: floor"),
     "plan base edited": (lambda p: p["plan"].update(base=[0, 2]), "plan; fields that differ: base"),
@@ -1564,9 +1591,13 @@ class TestCheckpointValidation:
 
 
 def _units_checkpoint(tmp_path, units):
-    """A d=3 n=10 checkpoint whose unit map is `units`."""
+    """A d=3 n=10 checkpoint file whose unit map is `units`, keyed as the
+    file spells them."""
     path = tmp_path / "units.ckpt"
-    checkpoint_save(Checkpoint(SearchConfig(3, 10), units), path)
+    checkpoint_save(Checkpoint(SearchConfig(3, 10), {}), path)
+    payload = json.loads(path.read_text())
+    payload["units"] = units
+    path.write_text(json.dumps(payload))
     return path
 
 
@@ -1603,6 +1634,10 @@ BAD_UNITS = {
     "witness base card a bool": ({"2": {**UNIT_2, "witness": [False, *range(1, 10)]}}, "is not 10 distinct cards"),
     "witness base card a float": ({"2": {**UNIT_2, "witness": [0, 1.0, *range(2, 10)]}}, "is not 10 distinct cards"),
 }
+# int() reads each of these keys as unit 2, but the file spells a unit as
+# str(u) does.
+MISSPELLED_KEYS = ["02", " 2", "2.0", "+2"]
+BAD_UNITS.update({f"key {key!r}": ({key: UNIT_2}, "not a work unit") for key in MISSPELLED_KEYS})
 
 
 class TestUnitsCheckpointValidation:
@@ -1622,7 +1657,8 @@ class TestUnitsCheckpointValidation:
         for u in search._units(plan):
             state = search._fresh_state(u)
             while True:
-                search._check_units(plan, {str(u): json.loads(json.dumps(state))})
+                saved = json.loads(json.dumps(state))
+                assert search._check_units(plan, {str(u): saved}) == {u: saved}
                 next(checked)
                 if search._exhausted(u, state):
                     break
@@ -1642,6 +1678,13 @@ class TestUnitsCheckpointValidation:
         code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
         assert code == cli.EXIT_CHECKPOINT == 5
         assert "not a work unit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", MISSPELLED_KEYS)
+    def test_misspelled_key_cli_exit_code(self, tmp_path, capsys, key):
+        path = _units_checkpoint(tmp_path, {key: UNIT_2})
+        code = cli.main(["search", "--props", "3", "--cards", "10", "--checkpoint", str(path), "--resume"])
+        assert code == cli.EXIT_CHECKPOINT == 5
+        assert f"checkpoint unit {key!r} is not a work unit" in capsys.readouterr().err
 
 
 class TestRunTable:
