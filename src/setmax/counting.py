@@ -1,7 +1,10 @@
 """Boards of distinct cards and the engines that count the sets they contain.
 
-add_to_gain is the one pair-completion primitive: it keeps the gain array
-that count_sets, the search and the greedy trace all read.  count_sets
+add_to_gain is the pair-completion primitive of count_sets and the
+search: it keeps a gain array as a list, one entry per card, raised by a
+loop over the chosen cards.  The greedy trace (heuristics) keeps its gain
+array as byte lanes instead, which a turn updates and searches whole,
+and the walk, which reads single entries, keeps the list.  count_sets
 adds a board's cards one at a time and counts each set once, at its last
 card; count_sets_bruteforce enumerates all card triples and exists purely
 as a cross-check oracle.  Boards are immutable once constructed.

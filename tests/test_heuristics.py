@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from setmax.counting import Board, count_sets, delta_sets, list_sets
-from setmax.geometry import cube_count, cube_of, third_rows, third_value
+from setmax.counting import Board, add_to_gain, count_sets, delta_sets, list_sets
+from setmax.geometry import cube_count, cube_of, line_count, third_rows, third_value
 from setmax.heuristics import cmm_run
 
 # max_sets(3, n) for n = 3..27, from the pruned exhaustive search
@@ -34,6 +34,23 @@ class TestTraceShape:
         full = cmm_run(3)
         for limit in (1, 2, 3, 7, 20):
             assert cmm_run(3, upto=limit).turns == full.turns[:limit]
+
+    @pytest.mark.parametrize("upto", [1, 2, 3, 4, 5, 16, 17, 300, 728])
+    def test_d6_upto_is_a_prefix_of_the_full_run(self, upto):
+        # Turns 4, 7, ..., 16 are special at d=6.
+        assert cmm_run(6, upto).turns == cmm_run(6).turns[:upto]
+
+    @pytest.mark.parametrize("upto", [1, 3, 4, 22, 23, 1000, 6240, 6560])
+    def test_d8_upto_is_a_prefix_of_the_full_run(self, upto, trace8):
+        # Turns 4, 7, ..., 22 are special at d=8.
+        assert cmm_run(8, upto).turns == trace8.turns[:upto]
+
+    def test_d8_full_run_covers_the_deck(self, trace8):
+        # The last turns hold the largest two-byte lane values: card 6560
+        # completes 3,280 pairs.
+        assert sorted(t.card for t in trace8.turns) == list(range(3 ** 8))
+        assert trace8.cumulative_at(6561) == line_count(8) == 7173360
+        assert trace8.turns[-1].new_sets == 3280
 
     def test_upto_validation(self):
         with pytest.raises(ValueError):
@@ -85,18 +102,61 @@ def reference_cmm(dim):
     return out
 
 
+def reference_gain_cmm(dim, upto=None):
+    """The O(deck**2) greedy loop the byte lanes replaced: one gain list,
+    raised through add_to_gain by a loop over the chosen cards on every
+    turn, with taken cards parked at -deck.  Returns the trace as
+    (card, new_sets, cumulative) per turn."""
+    deck = 3 ** dim
+    rows = third_rows(dim)
+    gain = [0] * deck
+    selected = []
+    out = []
+    ncubes = cube_count(dim)
+    special_turns = {3 * t + 1 for t in range(1, dim)}
+    for turn in range(1, (upto or deck) + 1):
+        card = None
+        if turn in special_turns:
+            used = {c // 9 for c in selected}
+            card = next((9 * cube for cube in range(ncubes) if cube not in used), None)
+        if card is None:
+            top = max(gain)
+            card = gain.index(top)
+            last_cube = selected[-1] // 9 if selected else None
+            if card // 9 == last_cube and top in gain[9 * last_cube + 9 :]:
+                card = gain.index(top, 9 * last_cube + 9)
+        new = gain[card]
+        add_to_gain(gain, selected, card, rows)
+        gain[card] = -deck
+        out.append((card, new, (out[-1][2] if out else 0) + new))
+    return out
+
+
+@pytest.fixture(scope="module")
+def trace8():
+    return cmm_run(8)
+
+
+def triples(trace):
+    return [(t.card, t.new_sets, t.cumulative) for t in trace.turns]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_trace_matches_reference_turn_by_turn(self, dim):
-        got = [(t.card, t.new_sets, t.cumulative) for t in cmm_run(dim).turns]
-        assert got == reference_cmm(dim)
+        assert triples(cmm_run(dim)) == reference_cmm(dim)
+
+    # Two-byte lanes: d=6 and 7 whole, d=8 for its first 2,048 turns.
+    @pytest.mark.parametrize("dim, turns", [(6, 729), (7, 2187), (8, 2048)])
+    def test_lanes_match_the_gain_loop_turn_by_turn(self, dim, turns):
+        assert triples(cmm_run(dim, turns)) == reference_gain_cmm(dim, turns)
 
     def test_d7_prefixes_recount(self):
-        # d=7 is above the built pair table.  The trace reads rows composed
-        # of two built tables; list_sets completes each pair digit by digit,
-        # in packed digits, and reads neither those tables nor add_to_gain
-        # (test_counting's TestTableFreeEngines checks this), so it is an
-        # independent oracle.
+        # The trace gathers its raises through third_rows(5) and the third
+        # of the two high digits; list_sets completes each pair digit by
+        # digit, in packed digits, and reads neither third_rows nor the
+        # lanes (test_counting's TestTableFreeEngines checks this), so it
+        # is an independent oracle.
         trace = cmm_run(7, upto=60)
         assert len(trace.turns) == 60
         for i, t in enumerate(trace.turns, start=1):

@@ -515,6 +515,13 @@ class TestFloor:
         assert sorted(calls) == [(6, 512), (6, 729)]
         assert floors[648 - 365] >= 0 and floors[649 - 365] == -1
 
+    def test_largest_floor_reads_the_whole_d8_trace(self):
+        # d=8 n=6240 misses 321 cards, one more than the 320-card cap, so
+        # its plan takes its floor from the whole 6561-turn trace.
+        plan = search._plan(SearchConfig(8, 6240))
+        assert plan.floor == 6171775
+        assert plan.floor == cmm_run(8).cumulative_at(6240)
+
     @pytest.mark.parametrize("dim,n", [(3, n) for n in range(4, 13)] + [(4, n) for n in range(4, 10)])
     def test_floor_below_the_maximum_keeps_the_walks_witness(self, dim, n, monkeypatch):
         # A floor of M - 1 prunes only below M, so the walk finds the
