@@ -21,10 +21,12 @@ MAX_DIMENSION = 8
 # row is composed from two smaller built tables (see _ThirdRow).
 TABLE_MAX_DIM = 6
 
-# A composed row reads the low _LOW_DIM digits of its entries from
-# third_rows(_LOW_DIM), whose deck has _LOW_DECK cards.
-_LOW_DIM = 4
-_LOW_DECK = 3 ** _LOW_DIM
+# Third cards composed from two smaller tables split each card at its
+# LOW_DIM low digits, read from third_rows(LOW_DIM), whose entries (below
+# 243) fit one byte each.  A composed row (see _ThirdRow) and the greedy
+# trace's raise gather (heuristics) share this split.
+LOW_DIM = 5
+_LOW_DECK = 3 ** LOW_DIM
 
 
 class DegeneratePairError(ValueError):
@@ -119,25 +121,25 @@ def third_card(a: int, b: int, d: int) -> int:
 
 class _ThirdRow:
     """Row a of the third-card table above TABLE_MAX_DIM, composed from the
-    built tables of d - _LOW_DIM and _LOW_DIM digits.
+    built tables of d - LOW_DIM and LOW_DIM digits.
 
-    Split every card x as x = x_hi * 81 + x_lo, where x_lo holds the four
-    low base-3 digits and x_hi the d - 4 high ones.  The third card is
-    taken digit by digit, so its low four digits depend only on a_lo and
+    Split every card x as x = x_hi * 243 + x_lo, where x_lo holds the five
+    low base-3 digits and x_hi the d - 5 high ones.  The third card is
+    taken digit by digit, so its low five digits depend only on a_lo and
     b_lo and its high digits only on a_hi and b_hi:
 
-        third(a, b, d) = third(a_hi, b_hi, d - 4) * 81 + third(a_lo, b_lo, 4).
+        third(a, b, d) = third(a_hi, b_hi, d - 5) * 243 + third(a_lo, b_lo, 5).
 
-    The row keeps row a_hi of third_rows(d - 4) and row a_lo of
-    third_rows(4), both built tables because d - 4 <= 4 <= TABLE_MAX_DIM,
+    The row keeps row a_hi of third_rows(d - 5) and row a_lo of
+    third_rows(5), both built tables because d - 5 < 5 <= TABLE_MAX_DIM,
     so row[b] costs two list reads and no digit loop.
     """
 
     __slots__ = ("hi", "lo")
 
     def __init__(self, a: int, d: int):
-        self.hi = third_rows(d - _LOW_DIM)[a // _LOW_DECK]
-        self.lo = third_rows(_LOW_DIM)[a % _LOW_DECK]
+        self.hi = third_rows(d - LOW_DIM)[a // _LOW_DECK]
+        self.lo = third_rows(LOW_DIM)[a % _LOW_DECK]
 
     def __getitem__(self, b: int) -> int:
         return self.hi[b // _LOW_DECK] * _LOW_DECK + self.lo[b % _LOW_DECK]
@@ -177,7 +179,9 @@ def _built_rows(d: int) -> list[list[int]]:
 @functools.lru_cache(maxsize=None)
 def third_rows(d: int) -> list:
     """Rows of the third-card table: rows[a][b] == third_value(a, b, d)
-    (the diagonal is a itself), for every supported d.
+    (the diagonal is a itself), for 0 <= d <= MAX_DIMENSION digits.  The
+    tables below MIN_DIMENSION are the high digits of a split card, such
+    as the greedy trace's at d <= 6.
 
     Up to TABLE_MAX_DIM every row is a list built by _built_rows, whose
     entries are shared card ints; above it every row is a _ThirdRow that
@@ -185,7 +189,8 @@ def third_rows(d: int) -> list:
     small object per card.  The rows are shared with every caller, so
     treat them as read-only.
     """
-    check_dimension(d)
+    if not is_int(d) or not 0 <= d <= MAX_DIMENSION:
+        raise ValueError(f"digit count must be an integer in [0, {MAX_DIMENSION}], got {d!r}")
     if d > TABLE_MAX_DIM:
         return [_ThirdRow(a, d) for a in range(3 ** d)]
     return _built_rows(d)

@@ -110,8 +110,9 @@ class TestThirdCard:
 
 
 class TestThirdRows:
-    # Every row up to d=5, every 7th row at d=6.
-    @pytest.mark.parametrize("d,step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 7)])
+    # Every row up to d=5, every 7th row at d=6.  The 0- and 1-digit tables
+    # are the high digits of a split card.
+    @pytest.mark.parametrize("d,step", [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 7)])
     def test_built_rows_match_third_value(self, d, step):
         rows = third_rows(d)
         deck = 3 ** d
@@ -128,8 +129,13 @@ class TestThirdRows:
         for _ in range(5000):
             a, b = rng.randrange(deck), rng.randrange(deck)
             assert rows[a][b] == third_value(a, b, d)
-        for a in (0, 1, 80, 81, deck // 2, deck - 1):
+        for a in (0, 1, 80, 81, 242, 243, deck // 2, deck - 1):
             assert [rows[a][b] for b in range(deck)] == [third_value(a, b, d) for b in range(deck)]
+
+    @pytest.mark.parametrize("d", [-1, 9, 2.5, "3"])
+    def test_digit_count_outside_the_tables_refused(self, d):
+        with pytest.raises(ValueError, match=r"digit count must be an integer in \[0, 8\]"):
+            third_rows(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_built_table_shares_one_int_per_card(self, d):

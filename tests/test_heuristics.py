@@ -1,11 +1,12 @@
 import io
+import pickle
 import random
 
 import pytest
 
 from setmax.counting import Board, add_to_gain, count_sets, delta_sets, list_sets
-from setmax.geometry import cube_count, cube_of, line_count, third_rows, third_value
-from setmax.heuristics import cmm_run
+from setmax.geometry import LOW_DIM, cube_count, cube_of, line_count, third_rows, third_value
+from setmax.heuristics import CmmTurn, _lanes, cmm_run
 
 # max_sets(3, n) for n = 3..27, from the pruned exhaustive search
 EXACT_D3 = [1, 1, 2, 3, 5, 8, 12, 12, 13, 14, 16, 19, 23, 26, 30, 36, 41, 47, 54, 62, 71, 81, 92, 104, 117]
@@ -27,8 +28,10 @@ class TestTraceShape:
             assert count_sets(Board(3, (x.card for x in trace.turns[:i]))) == running
 
     def test_deterministic(self):
-        a, b = cmm_run(3), cmm_run(3)
-        assert a.turns == b.turns
+        for dim in (3, 6):
+            a, b = cmm_run(dim), cmm_run(dim)
+            assert a is not b and a.turns is not b.turns
+            assert a == b and a.turns == b.turns
 
     def test_upto_is_a_prefix_of_the_full_run(self):
         full = cmm_run(3)
@@ -65,10 +68,11 @@ class TestTraceShape:
             cmm_run(3, upto)
 
 
-def reference_cmm(dim):
+def reference_cmm(dim, upto=None):
     """The O(deck**3) greedy loop the gain array replaced: every turn
     rescores every free card by a loop over the selected cards.  Returns
-    the trace as (card, new_sets, cumulative) per turn."""
+    the trace as (card, new_sets, cumulative) per turn, for `upto` turns
+    (default: the whole deck)."""
     deck = 3 ** dim
     rows = third_rows(dim)
     member = bytearray(deck)
@@ -89,7 +93,7 @@ def reference_cmm(dim):
     for c in (0, second, third_value(0, second, dim)):
         take(c)
     special_turns = {3 * t + 1 for t in range(1, dim)}
-    for turn in range(4, deck + 1):
+    for turn in range(4, (upto or deck) + 1):
         card = None
         if turn in special_turns:
             used = {c // 9 for c in selected}
@@ -99,7 +103,7 @@ def reference_cmm(dim):
             free = [c for c in range(deck) if not member[c]]
             card = max(free, key=lambda c: (gain(c), c // 9 != last_cube, -c))
         take(card)
-    return out
+    return out[:upto]
 
 
 def reference_gain_cmm(dim, upto=None):
@@ -146,6 +150,14 @@ class TestAgainstReference:
     def test_trace_matches_reference_turn_by_turn(self, dim):
         assert triples(cmm_run(dim)) == reference_cmm(dim)
 
+    # Through the seeding, the special turns 4, 7, ..., 3d-2 and past them.
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("upto", [1, 2, 3, 4, 5, 8, 17, 27])
+    def test_prefixes_match_both_references(self, dim, upto):
+        want = reference_gain_cmm(dim, upto)
+        assert len(want) == upto
+        assert triples(cmm_run(dim, upto)) == want == reference_cmm(dim, upto)
+
     # Two-byte lanes: d=6 and 7 whole, d=8 for its first 2,048 turns.
     @pytest.mark.parametrize("dim, turns", [(6, 729), (7, 2187), (8, 2048)])
     def test_lanes_match_the_gain_loop_turn_by_turn(self, dim, turns):
@@ -161,6 +173,54 @@ class TestAgainstReference:
         assert len(trace.turns) == 60
         for i, t in enumerate(trace.turns, start=1):
             assert len(list_sets(Board(7, (x.card for x in trace.turns[:i])))) == t.cumulative
+
+
+class TestTurnRecord:
+    def test_fields_by_name(self):
+        turn = cmm_run(3, upto=3).turns[2]
+        assert (turn.turn, turn.card, turn.new_sets, turn.cumulative) == (3, third_value(0, 9, 3), 1, 1)
+        assert turn == CmmTurn(turn=3, card=third_value(0, 9, 3), new_sets=1, cumulative=1)
+
+    def test_assignment_refused(self):
+        turn = cmm_run(3, upto=1).turns[0]
+        with pytest.raises(AttributeError):
+            turn.card = 5
+        assert turn.card == 0
+
+    def test_pickle_round_trip(self):
+        trace = cmm_run(4)
+        back = pickle.loads(pickle.dumps(trace))
+        assert back == trace
+        assert all(type(t) is CmmTurn for t in back.turns)
+
+
+class TestLaneTables:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+    def test_tables_match_third_value(self, dim):
+        # Every raise row and high row in full; their composition, read as
+        # the gather reads it, on every pair up to d=6 and sampled pairs above.
+        width, block, raise_rows, high_rows, needles = _lanes(dim)
+        low = min(dim, LOW_DIM)
+        assert block == 3 ** low == len(raise_rows)
+        assert width == (1 if dim <= 5 else 2)
+        for a, row in enumerate(raise_rows):
+            assert list(row[::width]) == [third_value(a, x, low) for x in range(block)]
+            if width == 2:
+                assert row[1::2] == b"\xff" * block
+        blocks = 3 ** (dim - low)
+        assert len(high_rows) == blocks
+        for a, row in enumerate(high_rows):
+            assert list(row) == [third_value(a, h, dim - low) for h in range(blocks)]
+        assert [int.from_bytes(v, "little") for v in needles] == list(range((3 ** dim + 1) // 2 + 1))
+
+        deck = 3 ** dim
+        rng = random.Random(dim)
+        pairs = [(a, b) for a in range(deck) for b in range(deck)] if dim <= 6 else [
+            (rng.randrange(deck), rng.randrange(deck)) for _ in range(20000)
+        ]
+        for a, b in pairs:
+            composed = high_rows[a // block][b // block] * block + raise_rows[a % block][width * (b % block)]
+            assert composed == third_value(a, b, dim)
 
 
 class TestTraceValues:
